@@ -158,17 +158,15 @@ def max_exceptional_degree(pi: Partition) -> int:
     """Largest d >= 3 with B(pi, d) >= B((1^N), d).
 
     Finite because r < N makes the ratio strictly decreasing in d; the
-    linear scan is asserted against the closed form d^(N-r) <= C.
+    closed form d^(N-r) <= C is checked against the linear scan over d in
+    the tests.
     """
     if pi.is_fermat():
         raise ValueError("the all-ones partition is excluded by definition")
     n = pi.n
     if bound_B(pi, 3) < fermat_bound(n, 3):
         raise NotExceptionalError(f"{pi} is not exceptional")
-    d = 3
-    while bound_B(pi, d + 1) >= fermat_bound(n, d + 1):
-        d += 1
-    # closed form: B(pi,d) >= B((1^N),d)  <=>  d^(N-r) <= c_num / c_den
+    # B(pi,d) >= B((1^N),d)  <=>  d^(N-r) <= c_num / c_den
     k = n - pi.r
     c_num = bound_B(pi, 3) // 3**pi.r
     c_den = math.factorial(n)
@@ -177,8 +175,7 @@ def max_exceptional_degree(pi: Partition) -> int:
         closed += 1
     while closed**k * c_den > c_num:
         closed -= 1
-    assert closed == d, f"scan ({d}) and closed form ({closed}) disagree for {pi}"
-    return d
+    return closed
 
 
 def partitions_of(n: int, max_part: int | None = None):

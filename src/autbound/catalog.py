@@ -27,6 +27,7 @@ __all__ = [
     "example_ids",
     "get_example",
     "fermat_record",
+    "get_record",
     "primitive_group_ids",
     "get_primitive_group",
     "group_to_json",
@@ -477,6 +478,14 @@ def fermat_record(n: int, d: int) -> ExampleRecord:
     )
 
 
+def get_record(record_id: str) -> ExampleRecord:
+    """A catalog example by id, or a Fermat record by "fermat-n-d"."""
+    if record_id.startswith("fermat-"):
+        _, n, d = record_id.split("-")
+        return fermat_record(int(n), int(d))
+    return get_example(record_id)
+
+
 # -- small primitive groups for the invariant-degree suite -----------------
 
 
@@ -562,17 +571,6 @@ _EXTERNAL_GROUPS = {
     "two-a7": ("two_a7_dim4", 5040, 8),
     "two-s6": ("two_s6_dim4", 1440, 8),
 }
-
-# Smallest semi-invariant degree claims for primitive groups whose element
-# counts exceed the enumeration cap.  Recorded as metadata only: no
-# generator files ship for these and nothing downstream asserts them.
-UNVERIFIED_DEGREE_CLAIMS = {
-    "2.J2-dim6": {"projective_index": 604800, "smallest_semiinvariant_degree": 12},
-    "6_1.PSU4(3).2_2-dim6": {"projective_index": 6531840, "smallest_semiinvariant_degree": 6},
-    "2.O8+(2).2-dim8": {"projective_index": 348364800, "parity": "even degrees only"},
-    "6.Suz-dim12": {"projective_index": 448345497600},
-}
-
 
 def external_data_dir() -> Path:
     return Path(__file__).parent / "data" / "external"

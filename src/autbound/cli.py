@@ -22,18 +22,22 @@ from .bounds import (
 from .catalog import (
     example_ids,
     get_primitive_group,
+    get_record,
     load_group_file,
     load_polynomial_file,
     primitive_group_ids,
 )
 from .cyclo import PrimeSearchExhausted
 from .groups import (
+    CLOSURE_BYTES_PER_ELEMENT,
     CapExceeded,
     FaithfulnessSuspect,
     GeneratedGroup,
     TIER1_CAP,
     closure_order,
     derived_subgroup,
+    exact_elements,
+    group_order,
     schreier_sims_order,
 )
 from .lattice import RankDeficientError, diagonal_stabilizer
@@ -54,9 +58,7 @@ def _resolve_group(source: str) -> GeneratedGroup:
     if path.exists():
         return load_group_file(path)
     if source in example_ids() or source.startswith("fermat-"):
-        from .verify import _resolve
-
-        return _resolve(source).group
+        return get_record(source).group
     if source in primitive_group_ids("extended") or source in primitive_group_ids("core"):
         return get_primitive_group(source).group
     raise FileNotFoundError(f"no such group file or registry id: {source}")
@@ -126,9 +128,7 @@ def cmd_highdim(args) -> int:
 
 def cmd_group_order(args) -> int:
     group = _resolve_group(args.file)
-    cap = args.max_elements or TIER1_CAP
-    if args.memory_budget_mb:
-        cap = min(cap, args.memory_budget_mb * 1_000_000 // 40)
+    cap = _effective_cap(args)
     maps = None
     if args.prime:
         maps = group.reduction_maps(1, lower_bound=args.prime)
@@ -143,10 +143,7 @@ def cmd_group_order(args) -> int:
     elif args.strategy == "bsgs":
         summary = schreier_sims_order(group, maps=maps, seed=args.seed)
     else:
-        try:
-            summary = closure_order(group, max_elements=cap, maps=maps)
-        except CapExceeded:
-            summary = schreier_sims_order(group, maps=maps, seed=args.seed)
+        summary = group_order(group, max_elements=cap, maps=maps, seed=args.seed)
     data = {
         "order": summary.order,
         "scalar_order": summary.scalar_order,
@@ -201,14 +198,15 @@ def cmd_smooth_necessary(args) -> int:
 def cmd_molien(args) -> int:
     group = _resolve_group(args.file)
     target = derived_subgroup(group) if args.semi else group
-    prefix = molien_prefix(target, args.max_degree)
+    elements = exact_elements(target)
+    prefix = molien_prefix(target, args.max_degree, elements=elements)
     data = {
         "group_order": prefix.group_order,
         "semi": bool(args.semi),
         "coefficients": list(prefix.coefficients),
     }
     if args.basis is not None:
-        basis = reynolds_basis(target, args.basis)
+        basis = reynolds_basis(target, args.basis, elements=elements)
         data["basis_degree"] = args.basis
         data["basis"] = [p.to_json() for p in basis]
     _emit(data, args.json, lambda d: "\n".join(
@@ -220,9 +218,10 @@ def cmd_molien(args) -> int:
 
 
 def _effective_cap(args) -> int:
+    """The element cap from --max-elements and --memory-budget-mb."""
     cap = args.max_elements or TIER1_CAP
-    if getattr(args, "memory_budget_mb", None):
-        cap = min(cap, args.memory_budget_mb * 1_000_000 // 40)
+    if args.memory_budget_mb:
+        cap = min(cap, args.memory_budget_mb * 1_000_000 // CLOSURE_BYTES_PER_ELEMENT)
     return cap
 
 
@@ -240,36 +239,17 @@ def cmd_verify_example(args) -> int:
 
 def cmd_verify_all(args) -> int:
     budget = Budget(max_elements=_effective_cap(args), tier3=args.tier3, seed=args.seed)
-    reports = verify_all(budget, fermat_n_max=args.fermat_n_max, fermat_d_max=args.fermat_d_max)
-    for eid in example_ids():
-        reports.append(bound_consistency(eid))
-    if args.profile == "extended":
-        from .molien import smallest_semiinvariant_degree
-        from .verify import Check, VerificationReport
-
-        for gid in primitive_group_ids("extended"):
-            rec = get_primitive_group(gid)
-            if rec.profile != "extended":
-                continue
-            rep = VerificationReport(example_id=f"degree:{gid}", tier="extended")
-            summary = closure_order(rec.group, max_elements=TIER1_CAP)
-            rep.checks.append(Check("order", rec.expected_order, summary.order,
-                                    summary.order == rec.expected_order))
-            deg = smallest_semiinvariant_degree(rec.group)
-            rep.checks.append(Check("smallest-semiinvariant-degree",
-                                    rec.expected_semiinvariant_degree, deg,
-                                    deg == rec.expected_semiinvariant_degree))
-            reports.append(rep)
+    reports = verify_all(budget, fermat_n_max=args.fermat_n_max, fermat_d_max=args.fermat_d_max,
+                         profile=args.profile)
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
         for r in reports:
             print(r.render())
             print()
+    # skips (conditional-pass) are tier-3 only and explicitly reported
     if any(r.overall == "fail" for r in reports):
         return EXIT_MISMATCH
-    if any(r.overall == "conditional-pass" for r in reports):
-        return EXIT_OK  # skips are tier-3 only and explicitly reported
     return EXIT_OK
 
 

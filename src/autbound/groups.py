@@ -29,14 +29,17 @@ __all__ = [
     "schreier_sims_order",
     "group_order",
     "derived_subgroup",
-    "pgl_image_order",
     "exact_elements",
     "spans_matrix_algebra",
     "block_permutation_image",
 ]
 
 TIER1_CAP = 2_000_000
-TIER2_CAP = 50_000_000
+# Peak memory of a two-prime `closure_order` per enumerated element, rounded
+# up from the tracemalloc peak over the closure divided by the order on the
+# catalog groups (Python 3.11): 124 B (fermat-2-5) to 237 B (psp4-3), with
+# 196 B on ex-2-4 and 224 B on ex-2-6.
+CLOSURE_BYTES_PER_ELEMENT = 240
 
 
 class CapExceeded(RuntimeError):
@@ -127,21 +130,22 @@ class GeneratedGroup:
 # -- closure enumeration -------------------------------------------------
 
 
-def _encode(mat: tuple[int, ...], width: int) -> bytes:
-    if width == 1:
+def _encode(mat: tuple[int, ...], p: int) -> bytes:
+    """Packed key of a mod-p matrix: one byte per entry below 256, else two."""
+    if p < 256:
         return bytes(mat)
-    return b"".join(x.to_bytes(width, "big") for x in mat)
+    return b"".join(x.to_bytes(2, "big") for x in mat)
 
 
 def _modp_closure(gen_mats, n: int, p: int, cap: int, want_center: bool, track_parents: bool):
     """BFS closure of mod-p matrices.
 
-    Returns (order, scalar_count, center_count, parents).  Only frontier
-    tuples stay in memory; visited elements are stored as packed keys.
+    Returns (order, scalar_count, center_count, parents, keys).  Only
+    frontier tuples stay in memory; visited elements are stored as packed
+    keys, and `keys` is that set, for membership tests by `_encode`.
     """
-    width = 1 if p < 256 else 2
     ident = identity_mod(n)
-    seen = {_encode(ident, width)}
+    seen = {_encode(ident, p)}
     parents: list[tuple[int, int]] = [(-1, -1)] if track_parents else []
     frontier = [ident]
     frontier_idx = [0]
@@ -157,7 +161,7 @@ def _modp_closure(gen_mats, n: int, p: int, cap: int, want_center: bool, track_p
             a_idx = frontier_idx[pos]
             for gi, g in enumerate(gen_mats):
                 prod = mat_mul_mod(a, g, n, p)
-                key = _encode(prod, width)
+                key = _encode(prod, p)
                 if key not in seen:
                     if count >= cap:
                         raise CapExceeded(f"closure exceeded {cap} elements")
@@ -177,7 +181,7 @@ def _modp_closure(gen_mats, n: int, p: int, cap: int, want_center: bool, track_p
                     count += 1
         frontier = next_frontier
         frontier_idx = next_idx
-    return count, scalar_count, (center_count if want_center else None), parents
+    return count, scalar_count, (center_count if want_center else None), parents, seen
 
 
 def _exact_closure(gens: list[CycloMatrix], cap: int) -> list[CycloMatrix]:
@@ -224,15 +228,18 @@ def closure_order(
         elems = _exact_closure(group.generators, cap)
         order = len(elems)
         scalar = sum(1 for e in elems if e.is_scalar())
-        gens = group.generators
-        center = sum(1 for e in elems if all(e @ g == g @ e for g in gens))
+        center = None
+        if want_center:
+            gens = group.generators
+            center = sum(1 for e in elems if all(e @ g == g @ e for g in gens))
         return GroupSummary(order, scalar, order // scalar, center, tier="closure-exact")
     maps = maps or group.reduction_maps(2)
     results = []
     for rmap in maps:
         gen_mats = group.reduced_generators(rmap)
-        got = _modp_closure(gen_mats, n, rmap.prime, cap, want_center, track_parents=False)
-        results.append(got[:3])
+        # slice at once, so the key set of one prime is freed before the next
+        got = _modp_closure(gen_mats, n, rmap.prime, cap, want_center, track_parents=False)[:3]
+        results.append(got)
     if results[0] != results[1]:
         raise FaithfulnessSuspect(
             f"orders at p={maps[0].prime} and p={maps[1].prime} disagree: {results}"
@@ -256,7 +263,7 @@ def exact_elements(group: GeneratedGroup, max_elements: int | None = None) -> li
     rmap = group.reduction_maps(1)[0]
     gen_mats = group.reduced_generators(rmap)
     n = group.dimension
-    _, _, _, parents = _modp_closure(gen_mats, n, rmap.prime, cap, False, track_parents=True)
+    parents = _modp_closure(gen_mats, n, rmap.prime, cap, False, track_parents=True)[3]
     elems = [CycloMatrix.identity(n, group.conductor)]
     for parent, gi in parents[1:]:
         elems.append(elems[parent] @ group.generators[gi])
@@ -284,14 +291,13 @@ def _normalize_proj(v: tuple[int, ...], p: int) -> tuple[int, ...]:
 class _Chain:
     """Stabilizer chain: base points, strong generators, transversals."""
 
-    def __init__(self, n: int, p: int, seed: int):
+    def __init__(self, n: int, p: int):
         self.n = n
         self.p = p
         self.base: list[tuple[tuple[int, ...], str]] = []
         self.strong: list[tuple[int, ...]] = []
         self.level_gens: list[list[tuple[int, ...]]] = []
         self.transversals: list[dict] = []
-        self.rng = random.Random(seed)
         self.ident = identity_mod(n)
 
     def order(self) -> int:
@@ -300,17 +306,12 @@ class _Chain:
             out *= len(t)
         return out
 
-    def _apply(self, mat, level: int):
-        point, kind = self.base[level]
-        img = mat_vec_mod(mat, point, self.n, self.p)
-        return _normalize_proj(img, self.p) if kind == "proj" else img
-
     def _apply_pt(self, mat, point, kind):
         img = mat_vec_mod(mat, point, self.n, self.p)
         return _normalize_proj(img, self.p) if kind == "proj" else img
 
     def _fixes_prefix(self, mat, level: int) -> bool:
-        return all(self._apply(mat, i) == self.base[i][0] for i in range(level))
+        return all(self._apply_pt(mat, pt, kind) == pt for pt, kind in self.base[:level])
 
     def _rebuild_level(self, i: int) -> None:
         self.level_gens[i] = [s for s in self.strong if self._fixes_prefix(s, i)]
@@ -355,25 +356,17 @@ class _Chain:
         self._close_orbit(i, frontier)
 
     def _choose_base_point(self, mat) -> tuple[tuple[int, ...], str]:
-        """A point moved by mat.  Standard-basis projective points come
-        first (block-structured groups give them small orbits), then basis
-        vectors, then seeded random points; ties among basis candidates are
-        broken by the cyclic-orbit length under mat."""
-        n, p = self.n, self.p
+        """A point moved by mat, which must not be the identity.
+        Standard-basis projective points come first (block-structured
+        groups give them small orbits), then basis vectors; ties are broken
+        by the cyclic-orbit length under mat.  A non-identity matrix moves
+        some basis vector, so the second tier always yields a point."""
+        n = self.n
         basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-        tiers = [
-            [(v, "proj") for v in basis],
-            [(v, "affine") for v in basis],
-            [(tuple(self.rng.randrange(p) for _ in range(n)), "proj") for _ in range(16)],
-            [(tuple(self.rng.randrange(p) for _ in range(n)), "affine") for _ in range(16)],
-        ]
-        for pool in tiers:
+        for kind in ("proj", "affine"):
             best = None
             best_len = None
-            for v, kind in pool:
-                if not any(v):
-                    continue
-                pt = _normalize_proj(v, p) if kind == "proj" else v
+            for pt in basis:
                 if self._apply_pt(mat, pt, kind) == pt:
                     continue
                 cur = pt
@@ -387,14 +380,13 @@ class _Chain:
                     best, best_len = (pt, kind), length
             if best is not None:
                 return best
-        raise AssertionError("non-identity matrix moves no candidate point")
 
-    def sift(self, mat):
-        """Returns (None, depth) if mat factors through the chain, else
-        (residue, level) at the first failing level."""
+    def sift(self, mat, start: int = 0):
+        """Returns (None, depth) if mat factors through the chain from
+        level `start` on, else (residue, level) at the first failing level."""
         n, p = self.n, self.p
-        for i in range(len(self.base)):
-            img = self._apply(mat, i)
+        for i in range(start, len(self.base)):
+            img = self._apply_pt(mat, *self.base[i])
             entry = self.transversals[i].get(img)
             if entry is None:
                 return mat, i
@@ -458,19 +450,9 @@ def _verify_chain(chain: _Chain) -> None:
                 schreier = mat_mul_mod(entry[1], mat_mul_mod(g, t, n, p), n, p)
                 if schreier == chain.ident:
                     continue
-                residue = schreier
-                drop = None
-                for j in range(i + 1, len(chain.base)):
-                    img2 = chain._apply(residue, j)
-                    entry2 = chain.transversals[j].get(img2)
-                    if entry2 is None:
-                        drop = j
-                        break
-                    residue = mat_mul_mod(entry2[1], residue, n, p)
-                if residue == chain.ident:
+                residue, drop = chain.sift(schreier, start=i + 1)
+                if residue is None:
                     continue
-                if drop is None:
-                    drop = len(chain.base)
                 chain.add_strong(residue, drop)
                 clean = False
                 break
@@ -483,7 +465,7 @@ def _verify_chain(chain: _Chain) -> None:
 
 
 def _bsgs_chain(gen_mats, n: int, p: int, seed: int) -> _Chain:
-    chain = _Chain(n, p, seed)
+    chain = _Chain(n, p)
     for g in gen_mats:
         residue, level = chain.sift(g)
         if residue is not None:
@@ -537,16 +519,17 @@ def schreier_sims_order(
     )
 
 
-def group_order(group: GeneratedGroup, max_elements: int | None = None, **kw) -> GroupSummary:
+def group_order(
+    group: GeneratedGroup,
+    max_elements: int | None = None,
+    maps: list[ReductionMap] | None = None,
+    seed: int = 2024,
+) -> GroupSummary:
     """Closure first; escalate to Schreier-Sims when the cap is exceeded."""
     try:
-        return closure_order(group, max_elements=max_elements, **kw)
+        return closure_order(group, max_elements=max_elements, maps=maps)
     except CapExceeded:
-        return schreier_sims_order(group)
-
-
-def pgl_image_order(summary: GroupSummary) -> int:
-    return summary.order // summary.scalar_order
+        return schreier_sims_order(group, maps=maps, seed=seed)
 
 
 # -- derived subgroup -----------------------------------------------------
@@ -574,25 +557,10 @@ def derived_subgroup(group: GeneratedGroup, max_elements: int | None = None) -> 
     maps = group.reduction_maps(2)
     gen_invs = [g.inverse() for g in gens]
     while True:
-        closures = []
-        for rmap in maps:
-            width = 1 if rmap.prime < 256 else 2
-            red = [s.reduce(rmap) for s in seeds]
-            keys = {_encode(identity_mod(n), width)}
-            frontier = [identity_mod(n)]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for g in red:
-                        prod = mat_mul_mod(a, g, n, rmap.prime)
-                        key = _encode(prod, width)
-                        if key not in keys:
-                            if len(keys) >= cap:
-                                raise CapExceeded("derived subgroup closure exceeded cap")
-                            keys.add(key)
-                            nxt.append(prod)
-                frontier = nxt
-            closures.append(keys)
+        closures = [
+            _modp_closure([s.reduce(rmap) for s in seeds], n, rmap.prime, cap, False, False)[4]
+            for rmap in maps
+        ]
         if len(closures[0]) != len(closures[1]):
             raise FaithfulnessSuspect("derived-subgroup closures disagree across primes")
         new = []
@@ -600,7 +568,7 @@ def derived_subgroup(group: GeneratedGroup, max_elements: int | None = None) -> 
             for g, ginv in zip(gens, gen_invs):
                 conj = (ginv @ s @ g).to_conductor(m)
                 member = all(
-                    _encode(conj.reduce(rmap), 1 if rmap.prime < 256 else 2) in closure
+                    _encode(conj.reduce(rmap), rmap.prime) in closure
                     for rmap, closure in zip(maps, closures)
                 )
                 if not member:
@@ -616,11 +584,8 @@ def derived_subgroup(group: GeneratedGroup, max_elements: int | None = None) -> 
 def spans_matrix_algebra(gens: list[CycloMatrix]) -> bool:
     """Burnside test: the words in the generators span all of End(V) iff
     the representation is irreducible."""
-    n = gens[0].n
-    m = 1
-    for g in gens:
-        m = m * g.m // math.gcd(m, g.m)
-    gens = [g.to_conductor(m) for g in gens]
+    group = GeneratedGroup(gens)
+    n, m, gens = group.dimension, group.conductor, group.generators
     basis: list[tuple[int, list]] = []
 
     def reduce_against(v):

@@ -96,9 +96,6 @@ class CycloMatrix:
     def __neg__(self):
         return CycloMatrix([[-x for x in row] for row in self.rows], conductor=self.m)
 
-    def matvec(self, v):
-        return [sum((row[k] * v[k] for k in range(1, self.n)), row[0] * v[0]) for row in self.rows]
-
     def trace(self) -> Cyc:
         t = self.rows[0][0]
         for i in range(1, self.n):

@@ -9,18 +9,24 @@ import time
 from dataclasses import dataclass, field
 
 from .bounds import bound_B, fermat_bound
-from .catalog import MAINTHM_BOUNDS, ExampleRecord, example_ids, fermat_record, get_example
+from .catalog import (
+    MAINTHM_BOUNDS,
+    ExampleRecord,
+    PrimitiveGroupRecord,
+    example_ids,
+    get_primitive_group,
+    get_record,
+    primitive_group_ids,
+)
 from .groups import (
     CapExceeded,
     TIER1_CAP,
-    _bsgs_chain,
-    _scalar_order_bsgs,
     block_permutation_image,
     closure_order,
     schreier_sims_order,
 )
 from .lattice import diagonal_stabilizer, exponent_minor_bound
-from .molien import invariant_dimension
+from .molien import invariant_dimension, smallest_semiinvariant_degree
 from .poly import avoids_variables, is_invariant, smoothness_necessary
 
 __all__ = ["Budget", "Check", "VerificationReport", "verify_example", "verify_all", "bound_consistency"]
@@ -95,13 +101,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _resolve(example_id: str) -> ExampleRecord:
-    if example_id.startswith("fermat-"):
-        _, n, d = example_id.split("-")
-        return fermat_record(int(n), int(d))
-    return get_example(example_id)
-
-
 def _order_checks(rec: ExampleRecord, budget: Budget) -> tuple[list[Check], str]:
     checks: list[Check] = []
     expect = (rec.expected_linf, rec.expected_scalar, rec.expected_linx)
@@ -115,20 +114,13 @@ def _order_checks(rec: ExampleRecord, budget: Budget) -> tuple[list[Check], str]
     elif rec.tier == 3 and not budget.tier3:
         # explicit degradation: scalar order via randomized membership,
         # order check reported as skipped
-        maps = rec.group.reduction_maps(2)
-        scalars = []
-        for rmap in maps:
-            chain = _bsgs_chain(rec.group.reduced_generators(rmap), rec.group.dimension,
-                                rmap.prime, budget.seed)
-            scalars.append(_scalar_order_bsgs(chain))
-        agreed = scalars[0] == scalars[1]
+        scalar = schreier_sims_order(rec.group, seed=budget.seed).scalar_order
         checks.append(
             Check("order", rec.expected_linf, None, passed=True, skipped=True,
                   note="tier-3 order computation disabled; rerun with --tier3")
         )
         checks.append(
-            Check("scalar-order", rec.expected_scalar, scalars[0],
-                  agreed and scalars[0] == rec.expected_scalar,
+            Check("scalar-order", rec.expected_scalar, scalar, scalar == rec.expected_scalar,
                   note="randomized-chain membership at two primes")
         )
         _structure_checks(rec, checks)
@@ -156,7 +148,7 @@ def _structure_checks(rec: ExampleRecord, checks: list[Check]) -> None:
 
 def verify_example(example_id: str, budget: Budget | None = None) -> VerificationReport:
     budget = budget or Budget()
-    rec = _resolve(example_id)
+    rec = get_record(example_id)
     report = VerificationReport(example_id=rec.id)
     start = time.time()
 
@@ -208,10 +200,14 @@ def verify_example(example_id: str, budget: Budget | None = None) -> Verificatio
 
 
 def verify_all(budget: Budget | None = None, fermat_n_max: int = 2, fermat_d_max: int = 5,
-               ids: list[str] | None = None):
-    """Reports for the registry (or an explicit id list) plus a Fermat grid.
+               ids: list[str] | None = None, profile: str = "core"):
+    """Every report of `autbound verify-all`: the registry examples, a
+    Fermat grid and the bound-consistency reports, plus, for profile
+    "extended", the order and smallest semi-invariant degree of each
+    external primitive group.
 
-    Passing ids=[] verifies nothing and returns an empty list."""
+    An explicit id list gives only those examples' reports, so ids=[]
+    verifies nothing and returns an empty list."""
     budget = budget or Budget()
     if ids is not None:
         return [verify_example(eid, budget) for eid in ids]
@@ -219,12 +215,26 @@ def verify_all(budget: Budget | None = None, fermat_n_max: int = 2, fermat_d_max
     for n in range(1, fermat_n_max + 1):
         for d in range(3, fermat_d_max + 1):
             reports.append(verify_example(f"fermat-{n}-{d}", budget))
+    reports += [bound_consistency(eid) for eid in example_ids()]
+    if profile == "extended":
+        records = [get_primitive_group(gid) for gid in primitive_group_ids("extended")]
+        reports += [_degree_report(rec) for rec in records if rec.profile == "extended"]
     return reports
+
+
+def _degree_report(rec: PrimitiveGroupRecord) -> VerificationReport:
+    report = VerificationReport(example_id=f"degree:{rec.id}", tier="extended")
+    order = closure_order(rec.group, max_elements=TIER1_CAP).order
+    report.checks.append(Check("order", rec.expected_order, order, order == rec.expected_order))
+    deg = smallest_semiinvariant_degree(rec.group)
+    report.checks.append(Check("smallest-semiinvariant-degree", rec.expected_semiinvariant_degree,
+                               deg, deg == rec.expected_semiinvariant_degree))
+    return report
 
 
 def bound_consistency(example_id: str) -> VerificationReport:
     """Expected numbers against the sharp bounds and the B calculus."""
-    rec = _resolve(example_id)
+    rec = get_record(example_id)
     report = VerificationReport(example_id=rec.id, tier="arithmetic")
     start = time.time()
     checks = report.checks

@@ -79,6 +79,17 @@ def test_max_exceptional_degree_examples():
         max_exceptional_degree(Partition([2, 1, 1, 1, 1]))  # N=6 variant is not exceptional
 
 
+def test_max_exceptional_degree_matches_linear_scan():
+    rows = enumerate_exceptional(2, 26)
+    assert len(rows) == 80
+    for row in rows:
+        pi, n = row.partition, row.n
+        d = 3
+        while bound_B(pi, d + 1) >= fermat_bound(n, d + 1):
+            d += 1
+        assert max_exceptional_degree(pi) == row.max_d == d, pi
+
+
 def test_partitions_descending_lex():
     got = list(partitions_of(5))
     assert got == [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]

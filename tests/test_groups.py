@@ -22,7 +22,6 @@ from autbound.groups import (
     closure_order,
     derived_subgroup,
     exact_elements,
-    pgl_image_order,
     schreier_sims_order,
     spans_matrix_algebra,
 )
@@ -47,6 +46,10 @@ def test_closure_exact_matches_modp():
         exact = closure_order(grp, strategy="exact")
         modp = closure_order(grp)
         assert exact.triple() == modp.triple()
+        assert exact.center_order is None and modp.center_order is None
+        exact = closure_order(grp, strategy="exact", want_center=True)
+        modp = closure_order(grp, want_center=True)
+        assert exact.center_order == modp.center_order == 2
         # injectivity of reduction on tier-1 groups: cardinalities agree
         assert len(exact_elements(grp)) == exact.order
 
@@ -108,7 +111,7 @@ def test_derived_subgroup_examples():
 
 def test_pgl_image_order():
     s = closure_order(get_example("ex-2-4").group)
-    assert pgl_image_order(s) == 1920
+    assert s.pgl_order == 1920
     assert s.pgl_order * s.scalar_order == s.order
 
 

@@ -47,6 +47,21 @@ def test_verify_all_with_empty_id_list():
     assert verify_all(ids=[]) == []
 
 
+def test_verify_all_extended_profile(monkeypatch):
+    from autbound import verify
+
+    # one example, one Fermat record, and the extended registry cut down to
+    # one core group (skipped: not extended) and the order-1440 group
+    monkeypatch.setattr(verify, "example_ids", lambda: ["ex-1-4"])
+    monkeypatch.setattr(verify, "primitive_group_ids",
+                        lambda profile="core": ["binary-icosahedral", "two-s6"])
+    reports = verify.verify_all(fermat_n_max=1, fermat_d_max=3, profile="extended")
+    assert [r.example_id for r in reports] == ["ex-1-4", "fermat-1-3", "ex-1-4", "degree:two-s6"]
+    assert all(r.overall == "pass" for r in reports), [r.render() for r in reports]
+    degree = {c.name: c.computed for c in reports[-1].checks}
+    assert degree == {"order": 1440, "smallest-semiinvariant-degree": 8}
+
+
 def test_bound_consistency_all_examples():
     for eid in example_ids():
         report = bound_consistency(eid)
@@ -120,6 +135,16 @@ def test_cli_group_order_strategies(capsys):
     assert main(["group-order", "ex-1-4", "--strategy", "closure", "--max-elements", "10"]) == 3
 
 
+def test_cli_group_order_memory_budget(capsys):
+    # 1 MB holds fewer closure elements than the order 7680 of ex-2-4
+    assert main(["group-order", "ex-2-4", "--strategy", "closure", "--memory-budget-mb", "1"]) == 3
+    capsys.readouterr()
+    assert main(["group-order", "ex-2-4", "--strategy", "auto", "--memory-budget-mb", "1",
+                 "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["order"] == 7680 and data["tier"] == "schreier-sims"
+
+
 def test_cli_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -156,6 +181,29 @@ def test_cli_molien(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["group_order"] == 8  # derived subgroup Q8
     assert data["coefficients"][4] > 0 and data["coefficients"][1] == 0
+
+
+def test_cli_molien_basis(monkeypatch, capsys):
+    from autbound import cli, molien
+    from autbound.catalog import binary_tetrahedral
+    from autbound.groups import exact_elements
+    from autbound.poly import HomogPoly, is_invariant
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact_elements(*args, **kwargs)
+
+    monkeypatch.setattr(molien, "exact_elements", counted)
+    monkeypatch.setattr(cli, "exact_elements", counted)
+    assert main(["molien", "binary-tetrahedral", "--max-degree", "6", "--basis", "6", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1  # one enumeration serves the series and the basis
+    assert data["basis_degree"] == 6
+    assert len(data["basis"]) == data["coefficients"][6] > 0
+    gens = binary_tetrahedral().generators
+    assert all(is_invariant(gens, HomogPoly.from_json(f)) for f in data["basis"])
 
 
 def test_cli_verify_example(capsys):

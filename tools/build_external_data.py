@@ -46,7 +46,7 @@ from autbound.groups import (
     _modp_closure,
     closure_order,
 )
-from autbound.matrix import CycloMatrix, identity_mod, mat_mul_mod
+from autbound.matrix import CycloMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +173,10 @@ def derived_pair_closure(pairs: list[_Pair], cap: int = 200_000) -> list[_Pair]:
                 seeds.append(c)
     inverses = [p.inverse() for p in pairs]
     while True:
-        closures = []
-        for rmap in maps:
-            width = 1 if rmap.prime < 256 else 2
-            red = [s.odd.reduce(rmap) for s in seeds]
-            keys = {_encode(identity_mod(4), width)}
-            frontier = [identity_mod(4)]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for g in red:
-                        prod = mat_mul_mod(a, g, 4, rmap.prime)
-                        key = _encode(prod, width)
-                        if key not in keys:
-                            if len(keys) >= cap:
-                                raise RuntimeError("closure exceeded cap")
-                            keys.add(key)
-                            nxt.append(prod)
-                frontier = nxt
-            closures.append(keys)
+        closures = [
+            _modp_closure([s.odd.reduce(rmap) for s in seeds], 4, rmap.prime, cap, False, False)[4]
+            for rmap in maps
+        ]
         if len(closures[0]) != len(closures[1]):
             raise RuntimeError("prime disagreement in derived closure")
         new = []
@@ -199,7 +184,7 @@ def derived_pair_closure(pairs: list[_Pair], cap: int = 200_000) -> list[_Pair]:
             for g, ginv in zip(pairs, inverses):
                 conj = ginv @ s @ g
                 member = all(
-                    _encode(conj.odd.reduce(rmap), 1 if rmap.prime < 256 else 2) in closure
+                    _encode(conj.odd.reduce(rmap), rmap.prime) in closure
                     for rmap, closure in zip(maps, closures)
                 )
                 if not member:
@@ -285,17 +270,15 @@ def build_two_s6(out_dir: Path, sp4_pairs: list[_Pair]) -> None:
         attempt += 1
         a, b = rand_pair(), rand_pair()
         try:
-            order, scalars, _, _ = _modp_closure(
-                [a.odd.reduce(maps[0]), b.odd.reduce(maps[0])], 4, maps[0].prime, 1500, False, False
+            # order and scalar count at both primes, stopping at the first miss
+            found = all(
+                _modp_closure([a.odd.reduce(r), b.odd.reduce(r)], 4, r.prime, 1500, False, False)[:2]
+                == (1440, 2)
+                for r in maps
             )
         except CapExceeded:
             continue
-        if (order, scalars) != (1440, 2):
-            continue
-        order2, scalars2, _, _ = _modp_closure(
-            [a.odd.reduce(maps[1]), b.odd.reduce(maps[1])], 4, maps[1].prime, 1500, False, False
-        )
-        if (order2, scalars2) != (1440, 2):
+        if not found:
             continue
         print(f"  found after {attempt} attempts ({time.time() - t0:.1f}s)", flush=True)
         sub = GeneratedGroup([a.odd, b.odd], name="two_s6_dim4")
