@@ -33,6 +33,7 @@ from .groups import (
     CapExceeded,
     FaithfulnessSuspect,
     GeneratedGroup,
+    NonFiniteOrderError,
     TIER1_CAP,
     closure_order,
     derived_subgroup,
@@ -53,10 +54,13 @@ EXIT_FAITHFULNESS = 4
 
 
 def _resolve_group(source: str) -> GeneratedGroup:
-    """A group argument is a JSON file path or a registry id."""
+    """A group argument is a JSON file path or a registry id.  A file's
+    generators must be invertible and of finite order."""
     path = Path(source)
     if path.exists():
-        return load_group_file(path)
+        group = load_group_file(path)
+        group.validate()
+        return group
     if source in example_ids() or source.startswith("fermat-"):
         return get_record(source).group
     if source in primitive_group_ids("extended") or source in primitive_group_ids("core"):
@@ -198,12 +202,14 @@ def cmd_smooth_necessary(args) -> int:
 def cmd_molien(args) -> int:
     group = _resolve_group(args.file)
     target = derived_subgroup(group) if args.semi else group
-    elements = exact_elements(target)
+    # exact elements serve only the basis; the series is computed mod p
+    elements = exact_elements(target) if args.basis is not None else None
     prefix = molien_prefix(target, args.max_degree, elements=elements)
     data = {
         "group_order": prefix.group_order,
         "semi": bool(args.semi),
         "coefficients": list(prefix.coefficients),
+        "primes": list(prefix.primes),
     }
     if args.basis is not None:
         basis = reynolds_basis(target, args.basis, elements=elements)
@@ -363,7 +369,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError,
-            RankDeficientError, PrimeSearchExhausted) as err:
+            RankDeficientError, PrimeSearchExhausted, NonFiniteOrderError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except CapExceeded as err:

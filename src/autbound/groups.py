@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 
 from .cyclo import NonInvertibleDenominator, ReductionMap, find_reduction_prime
@@ -30,6 +31,7 @@ __all__ = [
     "group_order",
     "derived_subgroup",
     "exact_elements",
+    "modp_elements",
     "spans_matrix_algebra",
     "block_permutation_image",
 ]
@@ -131,34 +133,34 @@ class GeneratedGroup:
 
 
 def _encode(mat: tuple[int, ...], p: int) -> bytes:
-    """Packed key of a mod-p matrix: one byte per entry below 256, else two."""
+    """Packed key of a mod-p matrix: each entry in the fewest bytes that hold p - 1."""
     if p < 256:
         return bytes(mat)
-    return b"".join(x.to_bytes(2, "big") for x in mat)
+    if p < 65536:
+        return struct.pack(f">{len(mat)}H", *mat)
+    width = (p.bit_length() + 7) // 8
+    return b"".join(x.to_bytes(width, "big") for x in mat)
 
 
-def _modp_closure(gen_mats, n: int, p: int, cap: int, want_center: bool, track_parents: bool):
-    """BFS closure of mod-p matrices.
+def _modp_bfs(gen_mats, n: int, p: int, cap: int, seen: set):
+    """The BFS over the group generated by mod-p matrices.
 
-    Returns (order, scalar_count, center_count, parents, keys).  Only
-    frontier tuples stay in memory; visited elements are stored as packed
-    keys, and `keys` is that set, for membership tests by `_encode`.
+    Yields (element, parent index, generator index) once per element,
+    identity first as (identity, -1, -1); an element's index is its place
+    in the stream, and it equals its parent times that generator.  Only
+    frontier tuples stay in memory; `seen` receives the packed key of every
+    element, for membership tests by `_encode`.
     """
     ident = identity_mod(n)
-    seen = {_encode(ident, p)}
-    parents: list[tuple[int, int]] = [(-1, -1)] if track_parents else []
+    seen.add(_encode(ident, p))
+    yield ident, -1, -1
     frontier = [ident]
     frontier_idx = [0]
     count = 1
-    scalar_count = 1
-    center_count = 1
-    diag_idx = set(i * n + i for i in range(n))
-    off_idx = [i for i in range(n * n) if i not in diag_idx]
     while frontier:
         next_frontier = []
         next_idx = []
-        for pos, a in enumerate(frontier):
-            a_idx = frontier_idx[pos]
+        for a_idx, a in zip(frontier_idx, frontier):
             for gi, g in enumerate(gen_mats):
                 prod = mat_mul_mod(a, g, n, p)
                 key = _encode(prod, p)
@@ -166,22 +168,45 @@ def _modp_closure(gen_mats, n: int, p: int, cap: int, want_center: bool, track_p
                     if count >= cap:
                         raise CapExceeded(f"closure exceeded {cap} elements")
                     seen.add(key)
-                    if track_parents:
-                        parents.append((a_idx, gi))
-                    d = prod[0]
-                    if all(prod[i] == 0 for i in off_idx) and all(prod[i] == d for i in diag_idx):
-                        scalar_count += 1
-                        center_count += 1
-                    elif want_center and all(
-                        mat_mul_mod(prod, g2, n, p) == mat_mul_mod(g2, prod, n, p) for g2 in gen_mats
-                    ):
-                        center_count += 1
+                    yield prod, a_idx, gi
                     next_frontier.append(prod)
                     next_idx.append(count)
                     count += 1
         frontier = next_frontier
         frontier_idx = next_idx
-    return count, scalar_count, (center_count if want_center else None), parents, seen
+
+
+def modp_elements(group: GeneratedGroup, rmap: ReductionMap):
+    """Every element of the group's image mod rmap.prime, each yielded once
+    as a flat row-major tuple, up to the group's element cap.  Nothing but
+    the BFS frontier and its key set is held, so a caller that folds the
+    stream keeps memory at that."""
+    gen_mats = group.reduced_generators(rmap)
+    for mat, _, _ in _modp_bfs(gen_mats, group.dimension, rmap.prime, group.max_elements, set()):
+        yield mat
+
+
+def _modp_closure(gen_mats, n: int, p: int, cap: int, want_center: bool):
+    """Counts over the mod-p BFS.
+
+    Returns (order, scalar_count, center_count, keys), where `keys` is the
+    packed key set of the group, for membership tests by `_encode`.
+    """
+    seen: set = set()
+    count = scalar_count = center_count = 0
+    diag_idx = set(i * n + i for i in range(n))
+    off_idx = [i for i in range(n * n) if i not in diag_idx]
+    for prod, _, _ in _modp_bfs(gen_mats, n, p, cap, seen):
+        count += 1
+        d = prod[0]
+        if all(prod[i] == 0 for i in off_idx) and all(prod[i] == d for i in diag_idx):
+            scalar_count += 1
+            center_count += 1
+        elif want_center and all(
+            mat_mul_mod(prod, g2, n, p) == mat_mul_mod(g2, prod, n, p) for g2 in gen_mats
+        ):
+            center_count += 1
+    return count, scalar_count, (center_count if want_center else None), seen
 
 
 def _exact_closure(gens: list[CycloMatrix], cap: int) -> list[CycloMatrix]:
@@ -238,7 +263,7 @@ def closure_order(
     for rmap in maps:
         gen_mats = group.reduced_generators(rmap)
         # slice at once, so the key set of one prime is freed before the next
-        got = _modp_closure(gen_mats, n, rmap.prime, cap, want_center, track_parents=False)[:3]
+        got = _modp_closure(gen_mats, n, rmap.prime, cap, want_center)[:3]
         results.append(got)
     if results[0] != results[1]:
         raise FaithfulnessSuspect(
@@ -263,10 +288,12 @@ def exact_elements(group: GeneratedGroup, max_elements: int | None = None) -> li
     rmap = group.reduction_maps(1)[0]
     gen_mats = group.reduced_generators(rmap)
     n = group.dimension
-    parents = _modp_closure(gen_mats, n, rmap.prime, cap, False, track_parents=True)[3]
-    elems = [CycloMatrix.identity(n, group.conductor)]
-    for parent, gi in parents[1:]:
-        elems.append(elems[parent] @ group.generators[gi])
+    elems = []
+    for _, parent, gi in _modp_bfs(gen_mats, n, rmap.prime, cap, set()):
+        if parent < 0:
+            elems.append(CycloMatrix.identity(n, group.conductor))
+        else:
+            elems.append(elems[parent] @ group.generators[gi])
     return elems
 
 
@@ -558,7 +585,7 @@ def derived_subgroup(group: GeneratedGroup, max_elements: int | None = None) -> 
     gen_invs = [g.inverse() for g in gens]
     while True:
         closures = [
-            _modp_closure([s.reduce(rmap) for s in seeds], n, rmap.prime, cap, False, False)[4]
+            _modp_closure([s.reduce(rmap) for s in seeds], n, rmap.prime, cap, False)[3]
             for rmap in maps
         ]
         if len(closures[0]) != len(closures[1]):

@@ -11,7 +11,7 @@ import math
 
 from .cyclo import Cyc, QQ, ReductionMap, reduce_mod
 
-__all__ = ["CycloMatrix", "identity_mod", "mat_mul_mod", "mat_inv_mod", "mat_vec_mod"]
+__all__ = ["CycloMatrix", "identity_mod", "mat_mul_mod", "charpoly_mod", "mat_inv_mod", "mat_vec_mod"]
 
 
 def _as_cyc(x) -> Cyc:
@@ -224,6 +224,30 @@ def mat_mul_mod(a, b, n: int, p: int) -> tuple[int, ...]:
                 s += arow[k] * b[k * n + j]
             out.append(s % p)
     return tuple(out)
+
+
+def charpoly_mod(a, n: int, p: int) -> tuple[int, ...]:
+    """det(tI - A) mod p by Faddeev-LeVerrier, monic, descending in t.
+
+    Read in the same order, the coefficients ascend in t for det(I - tA).
+    The recurrence divides by 1..n, so p must exceed n.
+    """
+    diag = range(0, n * n, n + 1)
+    coeffs = [1]
+    am = a  # A M_k, where M_1 = I and M_{k+1} = A M_k + c_{n-k} I
+    mk = identity_mod(n)
+    for k in range(1, n):
+        c = -sum(am[i] for i in diag) * pow(k, p - 2, p) % p  # c_{n-k} = -tr(A M_k) / k
+        coeffs.append(c)
+        mk = list(am)
+        for i in diag:
+            mk[i] += c
+        if k < n - 1:
+            am = mat_mul_mod(a, mk, n, p)
+    # c_0 reads only the trace of A M_n, which needs no full product
+    trace = sum(a[i * n + j] * mk[j * n + i] for i in range(n) for j in range(n))
+    coeffs.append(-trace * pow(n, p - 2, p) % p)
+    return tuple(coeffs)
 
 
 def mat_vec_mod(a, v, n: int, p: int) -> tuple[int, ...]:

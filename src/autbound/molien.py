@@ -2,19 +2,24 @@
 (semi-)invariant degrees for fully enumerable matrix groups.
 
 The degree-k coefficient of the Molien series (1/|G|) sum_g 1/det(I - t g)
-is the dimension of the space of degree-k invariants.  Each summand is
-expanded by the linear recurrence coming from the characteristic
-polynomial, so everything stays in exact cyclotomic arithmetic.
+is the dimension of the space of degree-k invariants, an integer in
+[0, C(n+k-1, k)].  Prefixes are computed multi-modularly: the group is
+enumerated mod a prime p = 1 (mod m) above that bound, det(I - t g) is
+taken mod p for each element, and the average mod p is the coefficient
+itself.  Two primes must give the same order, which certifies both
+reductions as injective, and the same coefficients.  Only Reynolds bases,
+whose output is exact polynomials, sum over exact cyclotomic elements.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cyclo import Cyc, QQ
-from .groups import GeneratedGroup, derived_subgroup, exact_elements
-from .matrix import CycloMatrix
+from .cyclo import Cyc, QQ, ReductionMap
+from .groups import FaithfulnessSuspect, GeneratedGroup, derived_subgroup, exact_elements, modp_elements
+from .matrix import CycloMatrix, charpoly_mod
 from .poly import HomogPoly, act_by_inverse_of
 
 __all__ = [
@@ -38,63 +43,68 @@ class NoInvariantBelowCap(RuntimeError):
 class MolienPrefix:
     group_order: int
     coefficients: tuple[int, ...]  # index k = dim of degree-k invariants
+    primes: tuple[int, ...]  # the two reduction primes that certified them
 
     def dimension(self, k: int) -> int:
         return self.coefficients[k]
 
 
-def _det_one_minus_tg(mat: CycloMatrix) -> tuple:
-    """Ascending coefficients of det(I - t*mat), derived from charpoly."""
-    cp = mat.charpoly()  # det(tI - M), ascending, monic
-    n = mat.n
-    return tuple(cp[n - k] for k in range(n + 1))
-
-
-def _series_inverse(denom, max_degree: int, m: int) -> list[Cyc]:
-    """Power series 1/denom(t) modulo t^(max_degree+1)."""
-    out = [Cyc.one(m)]
-    for k in range(1, max_degree + 1):
-        acc = Cyc.zero(m)
-        for j in range(1, min(k, len(denom) - 1) + 1):
-            acc = acc - denom[j] * out[k - j]
-        out.append(acc)
-    return out
+def _molien_sums(group: GeneratedGroup, rmap: ReductionMap, max_degree: int) -> tuple[int, list[int]]:
+    """The order of the image mod p and, for k <= max_degree, the sum over
+    it of [t^k] 1/det(I - t g) mod p."""
+    n, p = group.dimension, rmap.prime
+    # distinct denominators only: conjugate elements share det(I - tg)
+    buckets: dict[tuple[int, ...], int] = {}
+    for g in modp_elements(group, rmap):
+        denom = charpoly_mod(g, n, p)  # ascending coefficients of det(I - tg)
+        buckets[denom] = buckets.get(denom, 0) + 1
+    sums = [0] * (max_degree + 1)
+    for denom, mult in buckets.items():
+        series = [1]  # 1/denom(t) modulo t^(max_degree+1)
+        for k in range(1, max_degree + 1):
+            series.append(-sum(denom[j] * series[k - j] for j in range(1, min(k, n) + 1)) % p)
+        for k, c in enumerate(series):
+            sums[k] = (sums[k] + mult * c) % p
+    return sum(buckets.values()), sums
 
 
 def molien_prefix(group: GeneratedGroup, max_degree: int = DEFAULT_DEGREE_CAP,
                   elements: list[CycloMatrix] | None = None) -> MolienPrefix:
-    """Exact Molien coefficients for degrees 0..max_degree."""
-    elems = elements if elements is not None else exact_elements(group)
-    order = len(elems)
-    m = group.conductor
-    # distinct denominators only: conjugate elements share det(I - tg)
-    buckets: dict[tuple, list] = {}
-    for e in elems:
-        denom = _det_one_minus_tg(e)
-        key = tuple(c.c for c in denom)
-        entry = buckets.get(key)
-        if entry is None:
-            buckets[key] = [denom, 1]
-        else:
-            entry[1] += 1
-    totals = [Cyc.zero(m) for _ in range(max_degree + 1)]
-    for denom, mult in buckets.values():
-        series = _series_inverse(denom, max_degree, m)
-        for k in range(max_degree + 1):
-            totals[k] = totals[k] + series[k] * mult
-    coeffs = []
-    inv_order = QQ(1, order)
-    for k, total in enumerate(totals):
-        avg = total * inv_order
-        if not avg.is_rational():
-            raise ArithmeticError(f"Molien coefficient {k} is not rational: closure is wrong")
-        q = avg.rational_value()
-        if q.denominator != 1 or q < 0:
-            raise ArithmeticError(f"Molien coefficient {k} = {q} is not a non-negative integer")
-        coeffs.append(int(q))
+    """Molien coefficients for degrees 0..max_degree, certified at two primes.
+
+    Each prime exceeds n, for the divisions of Faddeev-LeVerrier, and the
+    largest possible coefficient C(n+max_degree-1, max_degree), so a
+    coefficient is its own residue.  A prime dividing the enumerated order
+    is skipped, since the average needs |G| inverted mod p.  The prefix
+    stands only if both primes give the same order and the same
+    coefficients, each within [0, C(n+k-1, k)] and c_0 = 1.  `elements`,
+    if given, must number the certified order.
+    """
+    n = group.dimension
+    bounds = [math.comb(n + k - 1, k) for k in range(max_degree + 1)]
+    lower = max(max(bounds), n) + 1
+    found = []
+    while len(found) < 2:
+        rmap = group.reduction_maps(1, lower_bound=lower)[0]
+        p = rmap.prime
+        lower = p + 1
+        order, sums = _molien_sums(group, rmap, max_degree)
+        if order % p:
+            inv_order = pow(order, p - 2, p)
+            found.append((p, order, tuple(s * inv_order % p for s in sums)))
+    (p1, order, coeffs), (p2, order2, coeffs2) = found
+    if order != order2:
+        raise FaithfulnessSuspect(f"orders at p={p1} and p={p2} disagree: {order} and {order2}")
+    if coeffs != coeffs2:
+        raise FaithfulnessSuspect(f"Molien coefficients at p={p1} and p={p2} disagree")
+    for k, (c, bound) in enumerate(zip(coeffs, bounds)):
+        if c > bound:
+            raise ArithmeticError(f"Molien coefficient {k} = {c} exceeds its bound {bound}")
     if coeffs[0] != 1:
         raise ArithmeticError("Molien series must start with 1")
-    return MolienPrefix(group_order=order, coefficients=tuple(coeffs))
+    if elements is not None and len(elements) != order:
+        raise FaithfulnessSuspect(f"{len(elements)} elements given for a group of order {order}")
+    return MolienPrefix(group_order=order, coefficients=coeffs, primes=(p1, p2))
 
 
 def invariant_dimension(group: GeneratedGroup, k: int,

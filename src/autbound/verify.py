@@ -150,7 +150,7 @@ def verify_example(example_id: str, budget: Budget | None = None) -> Verificatio
     budget = budget or Budget()
     rec = get_record(example_id)
     report = VerificationReport(example_id=rec.id)
-    start = time.time()
+    start = time.perf_counter()
 
     f = rec.polynomial
     if f is not None:
@@ -195,7 +195,7 @@ def verify_example(example_id: str, budget: Budget | None = None) -> Verificatio
         report.checks.append(Check("order", rec.expected_linf, None, passed=True, skipped=True,
                                    note=f"budget exceeded: {err}"))
         report.tier = "budget-exceeded"
-    report.seconds = time.time() - start
+    report.seconds = time.perf_counter() - start
     return report
 
 
@@ -218,17 +218,23 @@ def verify_all(budget: Budget | None = None, fermat_n_max: int = 2, fermat_d_max
     reports += [bound_consistency(eid) for eid in example_ids()]
     if profile == "extended":
         records = [get_primitive_group(gid) for gid in primitive_group_ids("extended")]
-        reports += [_degree_report(rec) for rec in records if rec.profile == "extended"]
+        reports += [_degree_report(rec, budget) for rec in records if rec.profile == "extended"]
     return reports
 
 
-def _degree_report(rec: PrimitiveGroupRecord) -> VerificationReport:
+def _degree_report(rec: PrimitiveGroupRecord, budget: Budget) -> VerificationReport:
     report = VerificationReport(example_id=f"degree:{rec.id}", tier="extended")
-    order = closure_order(rec.group, max_elements=TIER1_CAP).order
-    report.checks.append(Check("order", rec.expected_order, order, order == rec.expected_order))
+    start = time.perf_counter()
+    try:
+        order = closure_order(rec.group, max_elements=budget.max_elements).order
+        report.checks.append(Check("order", rec.expected_order, order, order == rec.expected_order))
+    except CapExceeded as err:
+        report.checks.append(Check("order", rec.expected_order, None, passed=True, skipped=True,
+                                   note=f"budget exceeded: {err}"))
     deg = smallest_semiinvariant_degree(rec.group)
     report.checks.append(Check("smallest-semiinvariant-degree", rec.expected_semiinvariant_degree,
                                deg, deg == rec.expected_semiinvariant_degree))
+    report.seconds = time.perf_counter() - start
     return report
 
 
@@ -236,7 +242,7 @@ def bound_consistency(example_id: str) -> VerificationReport:
     """Expected numbers against the sharp bounds and the B calculus."""
     rec = get_record(example_id)
     report = VerificationReport(example_id=rec.id, tier="arithmetic")
-    start = time.time()
+    start = time.perf_counter()
     checks = report.checks
     checks.append(
         Check("linf = scalar * linx", rec.expected_linf,
@@ -272,5 +278,5 @@ def bound_consistency(example_id: str) -> VerificationReport:
     b_pi = bound_B(rec.partition, rec.d)
     checks.append(Check(f"linf <= B({rec.partition}, {rec.d})", f"<= {b_pi}", rec.expected_linf,
                         rec.expected_linf <= b_pi))
-    report.seconds = time.time() - start
+    report.seconds = time.perf_counter() - start
     return report

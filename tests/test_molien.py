@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,9 +11,9 @@ from autbound.catalog import (
     icosahedral_rotation,
     quaternion_group,
 )
-from autbound.cyclo import zeta
-from autbound.groups import GeneratedGroup, exact_elements
-from autbound.matrix import CycloMatrix
+from autbound.cyclo import find_reduction_prime, reduce_mod, zeta
+from autbound.groups import FaithfulnessSuspect, GeneratedGroup, exact_elements
+from autbound.matrix import CycloMatrix, charpoly_mod
 from autbound.molien import (
     NoInvariantBelowCap,
     invariant_dimension,
@@ -85,3 +86,53 @@ def test_perfect_group_semiinvariants_are_invariants():
 def test_no_invariant_below_cap():
     with pytest.raises(NoInvariantBelowCap):
         smallest_invariant_degree(binary_icosahedral(), cap=8)
+
+
+def test_six_dimensional_prefix_needs_three_byte_keys():
+    # degree 30 in 6 variables needs p > C(35, 30) = 324632, so every
+    # packed entry takes three bytes; -I has entries p - 1 >= 65536
+    ident = GeneratedGroup([CycloMatrix.identity(6)])
+    prefix = molien_prefix(ident, 30)
+    assert prefix.coefficients == tuple(math.comb(5 + k, k) for k in range(31))
+    assert min(prefix.primes) > math.comb(35, 30)
+    sign = GeneratedGroup([CycloMatrix.identity(6) * (-1)])
+    assert molien_prefix(sign, 30).coefficients == tuple(
+        math.comb(5 + k, k) if k % 2 == 0 else 0 for k in range(31))
+
+
+def test_prime_dividing_the_order_is_skipped():
+    # order 3, conductor 1: the first prime above the degree-1 bound is 3,
+    # which cannot invert |G|
+    g = GeneratedGroup([CycloMatrix([[0, -1], [1, -1]])])
+    prefix = molien_prefix(g, 1)
+    assert prefix.group_order == 3
+    assert prefix.coefficients == (1, 0)
+    assert 3 not in prefix.primes and len(set(prefix.primes)) == 2
+
+
+def test_elements_must_number_the_certified_order():
+    grp = binary_tetrahedral()
+    elems = exact_elements(grp)
+    assert molien_prefix(grp, 4, elements=elems).group_order == len(elems) == 24
+    with pytest.raises(FaithfulnessSuspect):
+        molien_prefix(grp, 4, elements=elems[:-1])
+
+
+def test_molien_never_takes_an_exact_charpoly(monkeypatch):
+    def refuse(self):
+        raise AssertionError("exact characteristic polynomial")
+
+    monkeypatch.setattr(CycloMatrix, "charpoly", refuse)
+    grp = binary_tetrahedral()
+    assert smallest_semiinvariant_degree(grp) == 4
+    assert len(reynolds_basis(grp, 6)) == invariant_dimension(grp, 6) == 1
+
+
+def test_charpoly_mod_matches_exact_charpoly():
+    rng = random.Random(31)
+    for n in range(1, 7):
+        for _ in range(10):
+            mat = CycloMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+            rmap = find_reduction_prime(1, rng.choice([7, 101, 70_000]))
+            exact = [reduce_mod(c, rmap) for c in reversed(mat.charpoly())]
+            assert list(charpoly_mod(mat.reduce(rmap), n, rmap.prime)) == exact

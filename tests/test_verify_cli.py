@@ -60,6 +60,13 @@ def test_verify_all_extended_profile(monkeypatch):
     assert all(r.overall == "pass" for r in reports), [r.render() for r in reports]
     degree = {c.name: c.computed for c in reports[-1].checks}
     assert degree == {"order": 1440, "smallest-semiinvariant-degree": 8}
+    assert reports[-1].seconds > 0
+    # the budget's element cap reaches the degree report's closure
+    capped = verify.verify_all(Budget(max_elements=1000), fermat_n_max=0,
+                               profile="extended")[-1]
+    assert capped.example_id == "degree:two-s6" and capped.overall == "conditional-pass"
+    assert [(c.name, c.skipped) for c in capped.checks] == [
+        ("order", True), ("smallest-semiinvariant-degree", False)]
 
 
 def test_bound_consistency_all_examples():
@@ -181,6 +188,40 @@ def test_cli_molien(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["group_order"] == 8  # derived subgroup Q8
     assert data["coefficients"][4] > 0 and data["coefficients"][1] == 0
+    # two distinct primes = 1 (mod 4) above C(7, 6) = 7
+    assert len(set(data["primes"])) == 2
+    assert all(p > 7 and p % 4 == 1 for p in data["primes"])
+
+
+def test_cli_molien_series_enumerates_no_exact_elements(monkeypatch, capsys):
+    from autbound import cli, groups, molien
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return groups.exact_elements(*args, **kwargs)
+
+    monkeypatch.setattr(molien, "exact_elements", counted)
+    monkeypatch.setattr(cli, "exact_elements", counted)
+    assert main(["molien", "binary-tetrahedral", "--max-degree", "6", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert calls == []
+    assert data["group_order"] == 24 and data["coefficients"][6] == 1
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([["1*z^0", "1*z^0"], ["1*z^0", "1*z^0"]], "error: generator is singular"),
+    ([["1*z^0", "1*z^0"], ["0*z^0", "1*z^0"]], "error: generator has infinite multiplicative order"),
+])
+def test_cli_rejects_invalid_generator_file(tmp_path, capsys, rows, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"conductor": 1, "dimension": 2, "generators": [rows]}))
+    for command in ("molien", "group-order"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
 
 
 def test_cli_molien_basis(monkeypatch, capsys):
