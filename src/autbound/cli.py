@@ -212,7 +212,9 @@ def cmd_molien(args) -> int:
         "primes": list(prefix.primes),
     }
     if args.basis is not None:
-        basis = reynolds_basis(target, args.basis, elements=elements)
+        # a prefix that reaches the basis degree already certifies its dimension
+        dim = prefix.coefficients[args.basis] if 0 <= args.basis <= args.max_degree else None
+        basis = reynolds_basis(target, args.basis, elements=elements, dimension=dim)
         data["basis_degree"] = args.basis
         data["basis"] = [p.to_json() for p in basis]
     _emit(data, args.json, lambda d: "\n".join(
@@ -324,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("molien", help="Molien coefficient prefix of a group")
     p.add_argument("file", help="group JSON file or registry id")
-    p.add_argument("--max-degree", type=int, default=24)
+    p.add_argument("--max-degree", type=int, default=24, metavar="K",
+                   help="last degree of the prefix; both reduction primes exceed C(n+K-1, K)")
     p.add_argument("--semi", action="store_true",
                    help="use the derived subgroup (semi-invariant degrees)")
     p.add_argument("--basis", type=int, default=None, metavar="K",

@@ -535,11 +535,14 @@ def _order_m_root(p: int, m: int) -> int | None:
     return None
 
 
-def find_reduction_prime(m: int, lower_bound: int = 2, search_cap: int = 10**8) -> ReductionMap:
+def find_reduction_prime(m: int, lower_bound: int = 2, search_cap: int | None = None) -> ReductionMap:
     """Smallest prime p >= lower_bound with p = 1 (mod m), plus a verified
-    order-m root.  Terminates by Dirichlet; the cap aborts with a diagnostic."""
+    order-m root.  Terminates by Dirichlet; the cap, by default 10^8 or
+    twice lower_bound if that is larger, aborts with a diagnostic."""
     if m < 1:
         raise ValueError("conductor must be positive")
+    if search_cap is None:
+        search_cap = max(10**8, 2 * lower_bound)
     p = max(lower_bound, 2)
     if m > 1:
         # align to 1 mod m

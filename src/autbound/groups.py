@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-import struct
 from dataclasses import dataclass
 
 from .cyclo import NonInvertibleDenominator, ReductionMap, find_reduction_prime
@@ -136,8 +135,6 @@ def _encode(mat: tuple[int, ...], p: int) -> bytes:
     """Packed key of a mod-p matrix: each entry in the fewest bytes that hold p - 1."""
     if p < 256:
         return bytes(mat)
-    if p < 65536:
-        return struct.pack(f">{len(mat)}H", *mat)
     width = (p.bit_length() + 7) // 8
     return b"".join(x.to_bytes(width, "big") for x in mat)
 
@@ -567,7 +564,7 @@ def derived_subgroup(group: GeneratedGroup, max_elements: int | None = None) -> 
 
     The conjugation-stability loop runs on mod-p images at two primes
     (membership certified by agreement); only the returned generators are
-    exact matrices.
+    exact matrices.  The returned group keeps the element cap.
     """
     cap = max_elements or group.max_elements
     gens = group.generators
@@ -580,7 +577,7 @@ def derived_subgroup(group: GeneratedGroup, max_elements: int | None = None) -> 
             if not c.is_identity():
                 seeds.append(c)
     if not seeds:
-        return GeneratedGroup([ident], name=f"derived({group.name})")
+        return GeneratedGroup([ident], name=f"derived({group.name})", max_elements=cap)
     maps = group.reduction_maps(2)
     gen_invs = [g.inverse() for g in gens]
     while True:
@@ -601,7 +598,7 @@ def derived_subgroup(group: GeneratedGroup, max_elements: int | None = None) -> 
                 if not member:
                     new.append(conj)
         if not new:
-            return GeneratedGroup(seeds, name=f"derived({group.name})")
+            return GeneratedGroup(seeds, name=f"derived({group.name})", max_elements=cap)
         seeds = seeds + new
 
 

@@ -128,16 +128,19 @@ def _monomials_of_degree(nvars: int, k: int):
 
 
 def reynolds_basis(group: GeneratedGroup, k: int, exhaustive: bool = False,
-                   elements: list[CycloMatrix] | None = None) -> list[HomogPoly]:
+                   elements: list[CycloMatrix] | None = None,
+                   dimension: int | None = None) -> list[HomogPoly]:
     """Basis of the degree-k invariants by averaging monomials over the group.
 
     The Reynolds operator projects onto the invariant space, so once
     invariant_dimension(G, k) independent averages are found the space is
     spanned; pass exhaustive=True to keep averaging every monomial anyway
-    (used by the Molien-vs-Reynolds consistency checks).
+    (used by the Molien-vs-Reynolds consistency checks).  `dimension`, if
+    given, is that certified Molien coefficient, read off a prefix the
+    caller already has.
     """
     elems = elements if elements is not None else exact_elements(group)
-    dim = invariant_dimension(group, k, elements=elems)
+    dim = dimension if dimension is not None else invariant_dimension(group, k, elements=elems)
     n = group.dimension
     m = group.conductor
     inv_order = QQ(1, len(elems))

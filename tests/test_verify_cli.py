@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -61,12 +62,16 @@ def test_verify_all_extended_profile(monkeypatch):
     degree = {c.name: c.computed for c in reports[-1].checks}
     assert degree == {"order": 1440, "smallest-semiinvariant-degree": 8}
     assert reports[-1].seconds > 0
-    # the budget's element cap reaches the degree report's closure
-    capped = verify.verify_all(Budget(max_elements=1000), fermat_n_max=0,
-                               profile="extended")[-1]
-    assert capped.example_id == "degree:two-s6" and capped.overall == "conditional-pass"
-    assert [(c.name, c.skipped) for c in capped.checks] == [
-        ("order", True), ("smallest-semiinvariant-degree", False)]
+    # the budget's element cap reaches every enumeration of the degree
+    # report: 1000 stops the order-1440 closure but not the derived
+    # subgroup (order 720) and its Molien prefix; 500 stops both
+    for cap, skipped in ((1000, [True, False]), (500, [True, True])):
+        capped = verify.verify_all(Budget(max_elements=cap), fermat_n_max=0,
+                                   profile="extended")[-1]
+        assert capped.example_id == "degree:two-s6" and capped.overall == "conditional-pass"
+        assert [(c.name, c.skipped) for c in capped.checks] == [
+            ("order", skipped[0]), ("smallest-semiinvariant-degree", skipped[1])]
+        assert capped.checks[1].skipped or capped.checks[1].computed == 8
 
 
 def test_bound_consistency_all_examples():
@@ -210,6 +215,19 @@ def test_cli_molien_series_enumerates_no_exact_elements(monkeypatch, capsys):
     assert data["group_order"] == 24 and data["coefficients"][6] == 1
 
 
+def test_cli_molien_degree_beyond_first_prime_search_range(tmp_path, capsys):
+    # degree 120 in 6 variables needs primes above C(125, 5) = 234531275,
+    # past the 10^8 a prime search covers by default for small bounds
+    one, zero = "1*z^0", "0*z^0"
+    ident = [[one if i == j else zero for j in range(6)] for i in range(6)]
+    path = tmp_path / "trivial6.json"
+    path.write_text(json.dumps({"conductor": 1, "dimension": 6, "generators": [ident]}))
+    assert main(["molien", str(path), "--max-degree", "120", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["coefficients"] == [math.comb(5 + k, k) for k in range(121)]
+    assert min(data["primes"]) > math.comb(125, 5)
+
+
 @pytest.mark.parametrize("rows, message", [
     ([["1*z^0", "1*z^0"], ["1*z^0", "1*z^0"]], "error: generator is singular"),
     ([["1*z^0", "1*z^0"], ["0*z^0", "1*z^0"]], "error: generator has infinite multiplicative order"),
@@ -228,19 +246,30 @@ def test_cli_molien_basis(monkeypatch, capsys):
     from autbound import cli, molien
     from autbound.catalog import binary_tetrahedral
     from autbound.groups import exact_elements
+    from autbound.molien import molien_prefix
     from autbound.poly import HomogPoly, is_invariant
 
     calls = []
+    prefixes = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return exact_elements(*args, **kwargs)
 
+    def counted_prefix(*args, **kwargs):
+        prefixes.append(args)
+        return molien_prefix(*args, **kwargs)
+
     monkeypatch.setattr(molien, "exact_elements", counted)
     monkeypatch.setattr(cli, "exact_elements", counted)
+    monkeypatch.setattr(molien, "molien_prefix", counted_prefix)
+    monkeypatch.setattr(cli, "molien_prefix", counted_prefix)
     assert main(["molien", "binary-tetrahedral", "--max-degree", "6", "--basis", "6", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert len(calls) == 1  # one enumeration serves the series and the basis
+    # one exact enumeration serves the basis; one certified prefix (two
+    # mod-p enumerations) serves the series and the basis dimension
+    assert len(calls) == 1
+    assert len(prefixes) == 1
     assert data["basis_degree"] == 6
     assert len(data["basis"]) == data["coefficients"][6] > 0
     gens = binary_tetrahedral().generators
