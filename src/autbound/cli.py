@@ -37,7 +37,6 @@ from .groups import (
     TIER1_CAP,
     closure_order,
     derived_subgroup,
-    exact_elements,
     group_order,
     schreier_sims_order,
 )
@@ -202,9 +201,7 @@ def cmd_smooth_necessary(args) -> int:
 def cmd_molien(args) -> int:
     group = _resolve_group(args.file)
     target = derived_subgroup(group) if args.semi else group
-    # exact elements serve only the basis; the series is computed mod p
-    elements = exact_elements(target) if args.basis is not None else None
-    prefix = molien_prefix(target, args.max_degree, elements=elements)
+    prefix = molien_prefix(target, args.max_degree)
     data = {
         "group_order": prefix.group_order,
         "semi": bool(args.semi),
@@ -213,8 +210,8 @@ def cmd_molien(args) -> int:
     }
     if args.basis is not None:
         # a prefix that reaches the basis degree already certifies its dimension
-        dim = prefix.coefficients[args.basis] if 0 <= args.basis <= args.max_degree else None
-        basis = reynolds_basis(target, args.basis, elements=elements, dimension=dim)
+        dim = prefix.coefficients[args.basis] if args.basis <= args.max_degree else None
+        basis = reynolds_basis(target, args.basis, dimension=dim)
         data["basis_degree"] = args.basis
         data["basis"] = [p.to_json() for p in basis]
     _emit(data, args.json, lambda d: "\n".join(
@@ -267,8 +264,25 @@ def cmd_bound_consistency(args) -> int:
     return EXIT_OK if report.overall == "pass" else EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="autbound",
         description="Exact verification of hypersurface automorphism bounds: "
         "partition calculus, matrix group orders, invariance, Molien series.",
@@ -326,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("molien", help="Molien coefficient prefix of a group")
     p.add_argument("file", help="group JSON file or registry id")
-    p.add_argument("--max-degree", type=int, default=24, metavar="K",
+    p.add_argument("--max-degree", type=_nonnegative, default=24, metavar="K",
                    help="last degree of the prefix; both reduction primes exceed C(n+K-1, K)")
     p.add_argument("--semi", action="store_true",
                    help="use the derived subgroup (semi-invariant degrees)")
-    p.add_argument("--basis", type=int, default=None, metavar="K",
+    p.add_argument("--basis", type=_nonnegative, default=None, metavar="K",
                    help="also emit a degree-K invariant basis")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_molien)

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cyclo import NonInvertibleDenominator, ReductionMap, find_reduction_prime
+from .cyclo import Cyc, NonInvertibleDenominator, ReductionMap, find_reduction_prime
 from .matrix import CycloMatrix, identity_mod, mat_inv_mod, mat_mul_mod, mat_vec_mod
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "derived_subgroup",
     "exact_elements",
     "modp_elements",
+    "row_orbit",
     "spans_matrix_algebra",
     "block_permutation_image",
 ]
@@ -206,28 +207,52 @@ def _modp_closure(gen_mats, n: int, p: int, cap: int, want_center: bool):
     return count, scalar_count, (center_count if want_center else None), seen
 
 
-def _exact_closure(gens: list[CycloMatrix], cap: int) -> list[CycloMatrix]:
-    """BFS closure with canonical cyclotomic keys."""
-    n = gens[0].n
-    m = gens[0].m
-    ident = CycloMatrix.identity(n, m)
-    elems = [ident]
-    seen = {ident.key()}
-    frontier = [ident]
+def row_orbit(group: GeneratedGroup, rows, max_elements: int | None = None) -> list[tuple]:
+    """The orbit of the rows `rows` of the identity under right
+    multiplication by the group: every distinct tuple of those rows of a
+    group element, each a tuple of Cyc at the group's conductor, in BFS
+    order from the identity's.
+
+    Exact arithmetic and exact coefficient keys throughout, so no
+    injectivity argument is needed.  One sparse row-times-generator
+    product per orbit point, row and generator; raises CapExceeded past
+    the element cap.  The orbit of all n rows is the group itself.
+    """
+    cap = max_elements or group.max_elements
+    n, m = group.dimension, group.conductor
+    zero, one = Cyc.zero(m), Cyc.one(m)
+    # generator rows as (column, entry) pairs over the nonzero entries
+    sparse = [[[(j, x) for j, x in enumerate(row) if not x.is_zero()] for row in g.rows]
+              for g in group.generators]
+
+    def times(vec, g):
+        out = [None] * n
+        for k, a in enumerate(vec):
+            if a.is_zero():
+                continue
+            for j, x in g[k]:
+                prev = out[j]
+                out[j] = a * x if prev is None else prev + a * x
+        return tuple(zero if x is None else x for x in out)
+
+    start = tuple(tuple(one if j == i else zero for j in range(n)) for i in rows)
+    orbit = [start]
+    seen = {tuple(x.c for vec in start for x in vec)}
+    frontier = [start]
     while frontier:
         next_frontier = []
-        for a in frontier:
-            for g in gens:
-                prod = a @ g
-                key = prod.key()
+        for point in frontier:
+            for g in sparse:
+                image = tuple(times(vec, g) for vec in point)
+                key = tuple(x.c for vec in image for x in vec)
                 if key not in seen:
-                    if len(elems) >= cap:
-                        raise CapExceeded(f"exact closure exceeded {cap} elements")
+                    if len(orbit) >= cap:
+                        raise CapExceeded(f"row orbit exceeded {cap} elements")
                     seen.add(key)
-                    elems.append(prod)
-                    next_frontier.append(prod)
+                    orbit.append(image)
+                    next_frontier.append(image)
         frontier = next_frontier
-    return elems
+    return orbit
 
 
 def closure_order(
@@ -247,7 +272,9 @@ def closure_order(
     cap = max_elements or group.max_elements
     n = group.dimension
     if strategy == "exact":
-        elems = _exact_closure(group.generators, cap)
+        # the orbit of all n rows is the group itself
+        elems = [CycloMatrix(rows, conductor=group.conductor)
+                 for rows in row_orbit(group, range(n), cap)]
         order = len(elems)
         scalar = sum(1 for e in elems if e.is_scalar())
         center = None

@@ -164,26 +164,17 @@ def exponent_minor_bound(f: HomogPoly) -> MinorReport:
     )
 
 
-def block_scalar_stabilizer(f: HomogPoly, blocks: list[list[int]], seed: int = 0, draws: int = 8):
+def block_scalar_stabilizer(f: HomogPoly, blocks: list[list[int]]) -> DiagonalStabilizer:
     """Stabilizer of f inside the block scalar matrices of the given
-    decomposition: collapse each block to one variable with seeded random
-    nonzero rational constants, then run the diagonal machinery.
+    decomposition.
 
-    Retries a few draws; degenerate collapses (cancelled special monomials)
-    are skipped.
+    A block scalar matrix scales each monomial of f on its own, so it fixes
+    f exactly when it fixes every monomial, and the stabilizer depends only
+    on the collapsed exponent support: the monomials of f with each block's
+    exponents summed.  That support, with coefficient 1 on each collapsed
+    monomial, goes through the diagonal machinery; nothing can cancel.
     """
-    import random
-
-    from .cyclo import Cyc, QQ
-    from .poly import collapse_blocks
-
-    rng = random.Random(seed)
-    last_err: Exception | None = None
-    for _ in range(draws):
-        constants = [Cyc.from_rational(QQ(rng.randint(1, 23))) for _ in range(f.nvars)]
-        try:
-            collapsed = collapse_blocks(f, blocks, constants)
-            return diagonal_stabilizer(collapsed)
-        except (ValueError, RankDeficientError) as err:
-            last_err = err
-    raise RankDeficientError(f"all {draws} collapse draws degenerate: {last_err}")
+    if sorted(j for b in blocks for j in b) != list(range(f.nvars)):
+        raise ValueError("blocks must partition the variables")
+    support = {tuple(sum(expo[j] for j in block) for block in blocks) for expo in f.terms}
+    return diagonal_stabilizer(HomogPoly(len(blocks), f.degree, dict.fromkeys(support, 1)))

@@ -7,8 +7,15 @@ is the dimension of the space of degree-k invariants, an integer in
 enumerated mod a prime p = 1 (mod m) above that bound, det(I - t g) is
 taken mod p for each element, and the average mod p is the coefficient
 itself.  Two primes must give the same order, which certifies both
-reductions as injective, and the same coefficients.  Only Reynolds bases,
-whose output is exact polynomials, sum over exact cyclotomic elements.
+reductions as injective, and the same coefficients.
+
+Reynolds bases are exact polynomials, so they are averaged exactly, but
+over row orbits rather than group elements: x^a(g x) depends on g only
+through the rows S = supp(a) of g, which run over the orbit of the rows S
+of the identity under right multiplication, each point |Stab| times.  So
+R(x^a) = (1/|orbit|) sum over orbit points P of prod_i (P_i . x)^(a_i), the
+element average term for term, at one expansion per orbit point: never
+more than |G|, and |G|/|Stab| in general.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cyclo import Cyc, QQ, ReductionMap
-from .groups import FaithfulnessSuspect, GeneratedGroup, derived_subgroup, exact_elements, modp_elements
+from .groups import FaithfulnessSuspect, GeneratedGroup, derived_subgroup, modp_elements, row_orbit
 from .matrix import CycloMatrix, charpoly_mod
-from .poly import HomogPoly, act_by_inverse_of
+from .poly import HomogPoly, substitute
 
 __all__ = [
     "MolienPrefix",
@@ -128,9 +135,16 @@ def _monomials_of_degree(nvars: int, k: int):
 
 
 def reynolds_basis(group: GeneratedGroup, k: int, exhaustive: bool = False,
-                   elements: list[CycloMatrix] | None = None,
                    dimension: int | None = None) -> list[HomogPoly]:
     """Basis of the degree-k invariants by averaging monomials over the group.
+
+    Monomials are taken in graded-lex order, and each average that is
+    independent of the earlier ones joins the basis.  An average is taken
+    over the row orbit of the monomial's support (module docstring): one
+    exact orbit per support, shared by the monomials with that support and
+    projected off the whole group once that has been enumerated, and one
+    expansion per orbit point, so the cost is at most |G| expansions per
+    monomial and no exact group element is built.
 
     The Reynolds operator projects onto the invariant space, so once
     invariant_dimension(G, k) independent averages are found the space is
@@ -139,12 +153,25 @@ def reynolds_basis(group: GeneratedGroup, k: int, exhaustive: bool = False,
     given, is that certified Molien coefficient, read off a prefix the
     caller already has.
     """
-    elems = elements if elements is not None else exact_elements(group)
-    dim = dimension if dimension is not None else invariant_dimension(group, k, elements=elems)
+    dim = dimension if dimension is not None else invariant_dimension(group, k)
     n = group.dimension
     m = group.conductor
-    inv_order = QQ(1, len(elems))
+    whole = tuple(range(n))
+    orbits: dict[tuple[int, ...], list] = {}
     basis: list[tuple[dict, HomogPoly]] = []
+
+    def orbit_of(support: tuple[int, ...]) -> list:
+        if support not in orbits:
+            if whole in orbits:
+                # the rows `support` of every element, deduplicated
+                points = {}
+                for point in orbits[whole]:
+                    rows = tuple(point[j] for j in support)
+                    points.setdefault(tuple(x.c for row in rows for x in row), rows)
+                orbits[support] = list(points.values())
+            else:
+                orbits[support] = row_orbit(group, support)
+        return orbits[support]
 
     def reduce_terms(terms: dict) -> dict:
         for pivots, _poly in basis:
@@ -158,18 +185,26 @@ def reynolds_basis(group: GeneratedGroup, k: int, exhaustive: bool = False,
                 }
         return terms
 
+    if exhaustive and k >= n:
+        # the full-support monomials need the whole group; enumerate it
+        # first so that every other support is projected off it
+        orbit_of(whole)
+    forms: list = [None] * n
     for expo in _monomials_of_degree(n, k):
         if not exhaustive and len(basis) == dim:
             break
+        support = tuple(j for j, e in enumerate(expo) if e)
+        orbit = orbit_of(support)
         mono = HomogPoly(n, k, {expo: Cyc.one(m)})
         acc: dict[tuple, Cyc] = {}
-        for e in elems:
-            # summing f(g x) over the group equals summing f(g^-1 x)
-            image = act_by_inverse_of(e, mono)
-            for expo2, c in image.terms.items():
+        for point in orbit:
+            for j, row in zip(support, point):
+                forms[j] = row
+            for expo2, c in substitute(mono, forms, n).items():
                 prev = acc.get(expo2)
                 acc[expo2] = c if prev is None else prev + c
-        acc = {e: c * inv_order for e, c in acc.items() if not (c * inv_order).is_zero()}
+        inv_size = QQ(1, len(orbit))
+        acc = {e: c * inv_size for e, c in acc.items() if not c.is_zero()}
         if not acc:
             continue
         reduced = reduce_terms(acc)

@@ -14,6 +14,7 @@ __all__ = [
     "HomogPoly",
     "act",
     "act_by_inverse_of",
+    "substitute",
     "is_invariant",
     "semi_invariant_character",
     "SmoothnessReport",
@@ -92,9 +93,42 @@ class HomogPoly:
         return f"HomogPoly(nvars={self.nvars}, degree={self.degree}, {len(self.terms)} terms)"
 
 
-def _substitute(f: HomogPoly, forms: list[list[Cyc]], nvars_out: int) -> dict:
-    """Expand f(l_0, ..., l_{n-1}) where l_j = sum_k forms[j][k] x_k."""
+def _power(form, e: int, nvars_out: int) -> dict:
+    """The terms of (sum_k form[k] x_k)^e by the multinomial theorem: one
+    product of powers per term, each a multinomial coefficient times
+    prod_k form[k]^(a_k), rather than one product per term and factor."""
+    base = [(k, c) for k, c in enumerate(form) if not c.is_zero()]
+    # (exponents, product of powers so far or None, degree left)
+    partial = [(tuple([0] * nvars_out), None, e)]
+    for i, (k, c) in enumerate(base):
+        powers = [None, c]
+        for _ in range(e - 1):
+            powers.append(powers[-1] * c)
+        nxt = []
+        for expo, prod, left in partial:
+            # the last variable takes whatever degree is left
+            for a in (range(left + 1) if i < len(base) - 1 else (left,)):
+                if a:
+                    expo2 = expo[:k] + (expo[k] + a,) + expo[k + 1:]
+                    nxt.append((expo2, powers[a] if prod is None else prod * powers[a], left - a))
+                else:
+                    nxt.append((expo, prod, left))
+        partial = nxt
+    top = math.factorial(e)
+    out = {}
+    for expo, prod, left in partial:
+        if left == 0:
+            mult = top // math.prod(math.factorial(a) for a in expo)
+            out[expo] = prod if mult == 1 else prod * mult
+    return out
+
+
+def substitute(f: HomogPoly, forms: list, nvars_out: int) -> dict:
+    """The terms of f(l_0, ..., l_{n-1}), where l_j = sum_k forms[j][k] x_k
+    in nvars_out variables; forms[j] is read only for variables x_j that
+    occur in f.  Each power l_j^e is expanded once per call."""
     out: dict[tuple, Cyc] = {}
+    powers: dict[tuple[int, int], dict] = {}
     zero_out = tuple([0] * nvars_out)
     for expo, coeff in f.terms.items():
         # product over variables of (linear form)^e_j, accumulated sparsely
@@ -102,17 +136,16 @@ def _substitute(f: HomogPoly, forms: list[list[Cyc]], nvars_out: int) -> dict:
         for j, e in enumerate(expo):
             if e == 0:
                 continue
-            base = [(k, c) for k, c in enumerate(forms[j]) if not c.is_zero()]
-            for _ in range(e):
-                nxt: dict[tuple, Cyc] = {}
-                for mono, c in acc.items():
-                    for k, fk in base:
-                        key = list(mono)
-                        key[k] += 1
-                        key = tuple(key)
-                        prev = nxt.get(key)
-                        nxt[key] = c * fk if prev is None else prev + c * fk
-                acc = nxt
+            power = powers.get((j, e))
+            if power is None:
+                power = powers[(j, e)] = _power(forms[j], e, nvars_out)
+            nxt: dict[tuple, Cyc] = {}
+            for mono, c in acc.items():
+                for mono2, c2 in power.items():
+                    key = tuple(a + b for a, b in zip(mono, mono2))
+                    prev = nxt.get(key)
+                    nxt[key] = c * c2 if prev is None else prev + c * c2
+            acc = nxt
         for mono, c in acc.items():
             prev = out.get(mono)
             out[mono] = c if prev is None else prev + c
@@ -127,7 +160,7 @@ def act_by_inverse_of(ginv: CycloMatrix, f: HomogPoly) -> HomogPoly:
     gi = ginv.to_conductor(m)
     forms = [list(gi.rows[j]) for j in range(gi.n)]
     fm = HomogPoly(f.nvars, f.degree, {e: c.to_conductor(m) for e, c in f.terms.items()})
-    return HomogPoly(f.nvars, f.degree, _substitute(fm, forms, f.nvars))
+    return HomogPoly(f.nvars, f.degree, substitute(fm, forms, f.nvars))
 
 
 def act(g: CycloMatrix, f: HomogPoly) -> HomogPoly:

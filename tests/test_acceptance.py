@@ -177,7 +177,7 @@ def test_criterion_7_invariant_degrees_core():
     dim = invariant_dimension(val, 6, elements=elems)
     if dim != 1:
         bad.append(("valentiner-dimension", dim))
-    basis = reynolds_basis(val, 6, elements=elems)
+    basis = reynolds_basis(val, 6)
     if len(basis) != 1 or not is_invariant(val.generators, basis[0]):
         bad.append(("valentiner-reynolds", len(basis)))
     _report("7 (core)", not bad,

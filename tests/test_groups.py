@@ -22,6 +22,7 @@ from autbound.groups import (
     closure_order,
     derived_subgroup,
     exact_elements,
+    row_orbit,
     schreier_sims_order,
     spans_matrix_algebra,
 )
@@ -52,6 +53,26 @@ def test_closure_exact_matches_modp():
         assert exact.center_order == modp.center_order == 2
         # injectivity of reduction on tier-1 groups: cardinalities agree
         assert len(exact_elements(grp)) == exact.order
+
+
+def test_row_orbit():
+    for grp in (quaternion_group(), binary_tetrahedral(), icosahedral_rotation()):
+        n = grp.dimension
+        elems = exact_elements(grp)
+        # all n rows: the group itself, one orbit point per element
+        whole = row_orbit(grp, range(n))
+        assert sorted(CycloMatrix(rows).key() for rows in whole) == sorted(e.key() for e in elems)
+        # fewer rows: the distinct projections of the elements, and the
+        # orbit-stabilizer count
+        for rows in ((0,), (n - 1,), (0, n - 1)):
+            orbit = row_orbit(grp, rows)
+            projected = {tuple(x.c for j in rows for x in e.rows[j]) for e in elems}
+            assert len(orbit) == len(projected)
+            assert {tuple(x.c for vec in point for x in vec) for point in orbit} == projected
+            assert len(elems) % len(orbit) == 0
+        assert row_orbit(grp, ()) == [()]
+    with pytest.raises(CapExceeded):
+        row_orbit(binary_tetrahedral(), range(2), max_elements=10)
 
 
 def test_closure_is_a_group():

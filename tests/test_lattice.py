@@ -104,8 +104,23 @@ def test_minor_divides_full_lattice_order():
 
 def test_block_scalar_stabilizer():
     f = HomogPoly(4, 6, {(5, 1, 0, 0): 1, (1, 5, 0, 0): -1, (0, 0, 5, 1): 1, (0, 0, 1, 5): -1})
-    stab = block_scalar_stabilizer(f, [[0, 1], [2, 3]], seed=5)
+    stab = block_scalar_stabilizer(f, [[0, 1], [2, 3]])
     assert stab.order <= 6**2
     full = diagonal_stabilizer(fermat(3, 4))
-    collapsed = block_scalar_stabilizer(fermat(3, 4), [[0], [1], [2]], seed=1)
+    collapsed = block_scalar_stabilizer(fermat(3, 4), [[0], [1], [2]])
     assert collapsed == full
+
+
+def test_block_scalar_stabilizer_ignores_coefficients():
+    # x0^5 x1 - x0 x1^5 collapses to 0 * y0^6 under equal block constants,
+    # but a block scalar fixes each monomial on its own: the stabilizer is
+    # that of the collapsed support y0^6, y1^6, y2^6
+    f = HomogPoly(4, 6, {(5, 1, 0, 0): 1, (1, 5, 0, 0): -1, (0, 0, 6, 0): 1, (0, 0, 0, 6): 1})
+    blocks = [[0, 1], [2], [3]]
+    stab = block_scalar_stabilizer(f, blocks)
+    assert stab == diagonal_stabilizer(fermat(3, 6))
+    assert stab.order == 6**3
+    g = HomogPoly(4, 6, {(5, 1, 0, 0): 2, (1, 5, 0, 0): 7, (0, 0, 6, 0): -3, (0, 0, 0, 6): 1})
+    assert block_scalar_stabilizer(g, blocks) == stab
+    with pytest.raises(ValueError):
+        block_scalar_stabilizer(f, [[0, 1], [2]])

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from autbound import groups, molien
 from autbound.catalog import (
     binary_icosahedral,
     binary_octahedral,
     binary_tetrahedral,
     diag_matrix,
+    get_primitive_group,
     icosahedral_rotation,
     quaternion_group,
 )
@@ -23,6 +25,7 @@ from autbound.molien import (
     smallest_semiinvariant_degree,
 )
 from autbound.poly import is_invariant
+from reynolds_oracle import element_average_basis
 
 
 def test_trivial_group_dimensions():
@@ -58,10 +61,28 @@ def test_reynolds_matches_molien_exhaustive():
     for grp in (quaternion_group(), binary_tetrahedral()):
         elems = exact_elements(grp)
         for k in (2, 4, 6):
-            basis = reynolds_basis(grp, k, exhaustive=True, elements=elems)
+            basis = reynolds_basis(grp, k, exhaustive=True)
             assert len(basis) == invariant_dimension(grp, k, elements=elems)
             for f in basis:
                 assert is_invariant(grp.generators, f)
+
+
+def test_reynolds_orbit_average_equals_element_average():
+    for grp in (quaternion_group(), binary_tetrahedral(), binary_octahedral()):
+        elems = exact_elements(grp)
+        for k in (2, 4, 6, 8):
+            assert reynolds_basis(grp, k, exhaustive=True) == element_average_basis(grp, k, elems)
+
+
+def test_reynolds_basis_builds_no_exact_elements(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact group elements")
+
+    monkeypatch.setattr(groups, "exact_elements", refuse)
+    monkeypatch.setattr(molien, "exact_elements", refuse, raising=False)
+    val = get_primitive_group("valentiner-group").group
+    basis = reynolds_basis(val, 6)
+    assert len(basis) == 1 and is_invariant(val.generators, basis[0])
 
 
 def test_reynolds_trivial_group_degree_one():

@@ -201,14 +201,15 @@ def test_cli_molien(capsys):
 def test_cli_molien_series_enumerates_no_exact_elements(monkeypatch, capsys):
     from autbound import cli, groups, molien
 
+    exact_elements = groups.exact_elements
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return groups.exact_elements(*args, **kwargs)
+        return exact_elements(*args, **kwargs)
 
-    monkeypatch.setattr(molien, "exact_elements", counted)
-    monkeypatch.setattr(cli, "exact_elements", counted)
+    for module in (groups, molien, cli):
+        monkeypatch.setattr(module, "exact_elements", counted, raising=False)
     assert main(["molien", "binary-tetrahedral", "--max-degree", "6", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert calls == []
@@ -243,12 +244,12 @@ def test_cli_rejects_invalid_generator_file(tmp_path, capsys, rows, message):
 
 
 def test_cli_molien_basis(monkeypatch, capsys):
-    from autbound import cli, molien
+    from autbound import cli, groups, molien
     from autbound.catalog import binary_tetrahedral
-    from autbound.groups import exact_elements
     from autbound.molien import molien_prefix
     from autbound.poly import HomogPoly, is_invariant
 
+    exact_elements = groups.exact_elements
     calls = []
     prefixes = []
 
@@ -260,20 +261,32 @@ def test_cli_molien_basis(monkeypatch, capsys):
         prefixes.append(args)
         return molien_prefix(*args, **kwargs)
 
-    monkeypatch.setattr(molien, "exact_elements", counted)
-    monkeypatch.setattr(cli, "exact_elements", counted)
+    for module in (groups, molien, cli):
+        monkeypatch.setattr(module, "exact_elements", counted, raising=False)
     monkeypatch.setattr(molien, "molien_prefix", counted_prefix)
     monkeypatch.setattr(cli, "molien_prefix", counted_prefix)
     assert main(["molien", "binary-tetrahedral", "--max-degree", "6", "--basis", "6", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    # one exact enumeration serves the basis; one certified prefix (two
-    # mod-p enumerations) serves the series and the basis dimension
-    assert len(calls) == 1
+    # the basis averages over row orbits, so no exact element is built;
+    # one certified prefix (two mod-p enumerations) serves the series and
+    # the basis dimension
+    assert calls == []
     assert len(prefixes) == 1
     assert data["basis_degree"] == 6
     assert len(data["basis"]) == data["coefficients"][6] > 0
     gens = binary_tetrahedral().generators
     assert all(is_invariant(gens, HomogPoly.from_json(f)) for f in data["basis"])
+
+
+@pytest.mark.parametrize("option", ["--basis", "--max-degree"])
+def test_cli_molien_rejects_negative_degree(capsys, option):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["molien", "binary-tetrahedral", option, "-1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"autbound molien: error: argument {option}: must be a nonnegative integer, got '-1'"]
 
 
 def test_cli_verify_example(capsys):
