@@ -151,7 +151,6 @@ def cmd_group_order(args) -> int:
         "order": summary.order,
         "scalar_order": summary.scalar_order,
         "pgl_order": summary.pgl_order,
-        "center_order": summary.center_order,
         "tier": summary.tier,
         "primes": list(summary.primes),
     }

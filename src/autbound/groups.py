@@ -1,8 +1,11 @@
 """Finite matrix groups over cyclotomic fields, presented by generators.
 
 Order computation is tiered: full closure enumeration (exact entries or
-mod-p images) for groups within the element cap, and a base-and-strong-
-generating-set chain over points of F_p^N beyond it.
+mod-p images) for groups within the element cap, and beyond it a
+Schreier-Sims chain on the projective points of F_p^N.  The chain's orbit
+lengths multiply to the order of the image in PGL, and its kernel, the
+pointwise stabilizer of the base, is the scalar subgroup, kept at the
+bottom of the chain as the order of a cyclic subgroup of F_p^*.
 
 Mod-p results are accepted only under the two-prime protocol: the kernel
 of reduction at a place over p is a p-group, so if the image orders at two
@@ -61,7 +64,6 @@ class GroupSummary:
     order: int
     scalar_order: int
     pgl_order: int
-    center_order: int | None
     tier: str
     primes: tuple[int, ...] = ()
 
@@ -184,14 +186,14 @@ def modp_elements(group: GeneratedGroup, rmap: ReductionMap):
         yield mat
 
 
-def _modp_closure(gen_mats, n: int, p: int, cap: int, want_center: bool):
+def _modp_closure(gen_mats, n: int, p: int, cap: int):
     """Counts over the mod-p BFS.
 
-    Returns (order, scalar_count, center_count, keys), where `keys` is the
-    packed key set of the group, for membership tests by `_encode`.
+    Returns (order, scalar_count, keys), where `keys` is the packed key
+    set of the group, for membership tests by `_encode`.
     """
     seen: set = set()
-    count = scalar_count = center_count = 0
+    count = scalar_count = 0
     diag_idx = set(i * n + i for i in range(n))
     off_idx = [i for i in range(n * n) if i not in diag_idx]
     for prod, _, _ in _modp_bfs(gen_mats, n, p, cap, seen):
@@ -199,12 +201,7 @@ def _modp_closure(gen_mats, n: int, p: int, cap: int, want_center: bool):
         d = prod[0]
         if all(prod[i] == 0 for i in off_idx) and all(prod[i] == d for i in diag_idx):
             scalar_count += 1
-            center_count += 1
-        elif want_center and all(
-            mat_mul_mod(prod, g2, n, p) == mat_mul_mod(g2, prod, n, p) for g2 in gen_mats
-        ):
-            center_count += 1
-    return count, scalar_count, (center_count if want_center else None), seen
+    return count, scalar_count, seen
 
 
 def row_orbit(group: GeneratedGroup, rows, max_elements: int | None = None) -> list[tuple]:
@@ -259,15 +256,12 @@ def closure_order(
     group: GeneratedGroup,
     max_elements: int | None = None,
     strategy: str = "modp",
-    want_center: bool = False,
     maps: list[ReductionMap] | None = None,
 ) -> GroupSummary:
     """Exact group order by full enumeration.
 
     strategy "modp" (default) enumerates images at two reduction primes and
     accepts on agreement; "exact" enumerates cyclotomic matrices directly.
-    want_center costs two extra products per element and generator, so ask
-    for it on small groups only.
     """
     cap = max_elements or group.max_elements
     n = group.dimension
@@ -277,27 +271,23 @@ def closure_order(
                  for rows in row_orbit(group, range(n), cap)]
         order = len(elems)
         scalar = sum(1 for e in elems if e.is_scalar())
-        center = None
-        if want_center:
-            gens = group.generators
-            center = sum(1 for e in elems if all(e @ g == g @ e for g in gens))
-        return GroupSummary(order, scalar, order // scalar, center, tier="closure-exact")
+        return GroupSummary(order, scalar, order // scalar, tier="closure-exact")
     maps = maps or group.reduction_maps(2)
     results = []
     for rmap in maps:
         gen_mats = group.reduced_generators(rmap)
         # slice at once, so the key set of one prime is freed before the next
-        got = _modp_closure(gen_mats, n, rmap.prime, cap, want_center)[:3]
+        got = _modp_closure(gen_mats, n, rmap.prime, cap)[:2]
         results.append(got)
     if results[0] != results[1]:
         raise FaithfulnessSuspect(
             f"orders at p={maps[0].prime} and p={maps[1].prime} disagree: {results}"
         )
-    order, scalar, center = results[0]
+    order, scalar = results[0]
     if order % scalar != 0:
         raise FaithfulnessSuspect("scalar subgroup order does not divide the group order")
     return GroupSummary(
-        order, scalar, order // scalar, center, tier="closure-modp", primes=tuple(m.prime for m in maps)
+        order, scalar, order // scalar, tier="closure-modp", primes=tuple(m.prime for m in maps)
     )
 
 
@@ -321,12 +311,15 @@ def exact_elements(group: GeneratedGroup, max_elements: int | None = None) -> li
     return elems
 
 
-# -- Schreier-Sims over points of F_p^N ----------------------------------
+# -- Schreier-Sims on projective points ----------------------------------
 #
-# Base points are projective lines [v] where possible (small orbits), but a
-# chain of projective points alone cannot separate diagonal matrices, so
-# plain vectors also serve as points; the greedy selector takes whichever
-# candidate has the smallest orbit estimate.
+# The chain acts on projective points [v] of F_p^N.  Scalar matrices fix
+# every point, so the pointwise stabilizer of the whole base is the scalar
+# subgroup: a cyclic subgroup of F_p^*, kept as its order h at the bottom
+# of the chain.  The orbit lengths multiply to the order of the image in
+# PGL, and times h to the group order.  Base points are taken from
+# [e_0], ..., [e_{N-1}], [e_0 + e_1], ..., [e_0 + e_{N-1}]: a matrix fixing
+# all of them is diagonal with equal entries, i.e. scalar.
 
 
 def _normalize_proj(v: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -339,129 +332,97 @@ def _normalize_proj(v: tuple[int, ...], p: int) -> tuple[int, ...]:
     raise ValueError("zero vector has no projective class")
 
 
+def _scalar_of(mat, n: int):
+    """c if mat is the scalar matrix c*I, else None."""
+    c = mat[0]
+    if all(x == (c if i % (n + 1) == 0 else 0) for i, x in enumerate(mat)):
+        return c
+    return None
+
+
 class _Chain:
-    """Stabilizer chain: base points, strong generators, transversals."""
+    """Stabilizer chain on projective points: base points, strong
+    generators per level, transversals, and the scalar kernel's order."""
 
     def __init__(self, n: int, p: int):
         self.n = n
         self.p = p
-        self.base: list[tuple[tuple[int, ...], str]] = []
-        self.strong: list[tuple[int, ...]] = []
+        self.base: list[tuple[int, ...]] = []
         self.level_gens: list[list[tuple[int, ...]]] = []
         self.transversals: list[dict] = []
+        self.scalar_order = 1
         self.ident = identity_mod(n)
+        # [e_0], ..., [e_{n-1}], then [e_0 + e_j] for j >= 1
+        self.candidates = [tuple(int(j == i) for j in range(n)) for i in range(n)] + [
+            tuple(int(j in (0, i)) for j in range(n)) for i in range(1, n)]
 
     def order(self) -> int:
-        out = 1
+        out = self.scalar_order
         for t in self.transversals:
             out *= len(t)
         return out
 
-    def _apply_pt(self, mat, point, kind):
-        img = mat_vec_mod(mat, point, self.n, self.p)
-        return _normalize_proj(img, self.p) if kind == "proj" else img
+    def _apply_pt(self, mat, point):
+        return _normalize_proj(mat_vec_mod(mat, point, self.n, self.p), self.p)
 
-    def _fixes_prefix(self, mat, level: int) -> bool:
-        return all(self._apply_pt(mat, pt, kind) == pt for pt, kind in self.base[:level])
-
-    def _rebuild_level(self, i: int) -> None:
-        self.level_gens[i] = [s for s in self.strong if self._fixes_prefix(s, i)]
-        point, kind = self.base[i]
-        trans = {point: (self.ident, self.ident)}
-        self.transversals[i] = trans
-        self._close_orbit(i, list(trans))
-
-    def _close_orbit(self, i: int, frontier: list) -> None:
+    def _grow(self, i: int, s) -> None:
+        """Add generator s to level i and close the level's orbit: s on
+        every known point, then every generator on each new point."""
         n, p = self.n, self.p
-        point, kind = self.base[i]
-        trans = self.transversals[i]
         gens = self.level_gens[i]
+        gens.append(s)
+        trans = self.transversals[i]
+        frontier, todo = list(trans), [s]
         while frontier:
             new = []
             for pt in frontier:
-                t, _ = trans[pt]
-                for g in gens:
-                    img = self._apply_pt(g, pt, kind)
+                t = trans[pt][0]
+                for g in todo:
+                    img = self._apply_pt(g, pt)
                     if img not in trans:
                         # column action: witness for g(pt) is g*t, so that
                         # (g*t)(base) = g(t(base)) = img
                         tg = mat_mul_mod(g, t, n, p)
                         trans[img] = (tg, mat_inv_mod(tg, n, p))
                         new.append(img)
-            frontier = new
-
-    def _extend_level(self, i: int, s) -> None:
-        """Incrementally grow level i's orbit after adding generator s."""
-        self.level_gens[i].append(s)
-        n, p = self.n, self.p
-        point, kind = self.base[i]
-        trans = self.transversals[i]
-        frontier = []
-        for pt in list(trans):
-            t, _ = trans[pt]
-            img = self._apply_pt(s, pt, kind)
-            if img not in trans:
-                tg = mat_mul_mod(s, t, n, p)
-                trans[img] = (tg, mat_inv_mod(tg, n, p))
-                frontier.append(img)
-        self._close_orbit(i, frontier)
-
-    def _choose_base_point(self, mat) -> tuple[tuple[int, ...], str]:
-        """A point moved by mat, which must not be the identity.
-        Standard-basis projective points come first (block-structured
-        groups give them small orbits), then basis vectors; ties are broken
-        by the cyclic-orbit length under mat.  A non-identity matrix moves
-        some basis vector, so the second tier always yields a point."""
-        n = self.n
-        basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-        for kind in ("proj", "affine"):
-            best = None
-            best_len = None
-            for pt in basis:
-                if self._apply_pt(mat, pt, kind) == pt:
-                    continue
-                cur = pt
-                length = 0
-                while length < 512:
-                    cur = self._apply_pt(mat, cur, kind)
-                    length += 1
-                    if cur == pt:
-                        break
-                if best_len is None or length < best_len:
-                    best, best_len = (pt, kind), length
-            if best is not None:
-                return best
+            frontier, todo = new, gens
 
     def sift(self, mat, start: int = 0):
         """Returns (None, depth) if mat factors through the chain from
-        level `start` on, else (residue, level) at the first failing level."""
+        level `start` on, else (residue, level) at the first failing level;
+        level == len(base) means the residue fixes every base point and is
+        not in the scalar kernel."""
         n, p = self.n, self.p
         for i in range(start, len(self.base)):
-            img = self._apply_pt(mat, *self.base[i])
-            entry = self.transversals[i].get(img)
+            entry = self.transversals[i].get(self._apply_pt(mat, self.base[i]))
             if entry is None:
                 return mat, i
             mat = mat_mul_mod(entry[1], mat, n, p)
-        if mat == self.ident:
+        c = _scalar_of(mat, n)
+        if c is not None and pow(c, self.scalar_order, p) == 1:
             return None, len(self.base)
         return mat, len(self.base)
 
     def add_strong(self, mat, level: int) -> None:
-        self.strong.append(mat)
+        """Take in a sift residue failing at `level`.  A scalar residue
+        c*I widens the kernel to order lcm(h, ord c); a non-scalar one
+        fixing the whole base opens a level at the first candidate it
+        moves."""
         if level == len(self.base):
-            self.base.append(self._choose_base_point(mat))
+            c = _scalar_of(mat, self.n)
+            if c is not None:
+                k, x = 1, c
+                while x != 1:
+                    x = x * c % self.p
+                    k += 1
+                self.scalar_order = math.lcm(self.scalar_order, k)
+                return
+            point = next(pt for pt in self.candidates if self._apply_pt(mat, pt) != pt)
+            self.base.append(point)
             self.level_gens.append([])
-            self.transversals.append({})
-            self._rebuild_level(level)
-            level -= 1
-        else:
-            self._extend_level(level, mat)
-            level -= 1
+            self.transversals.append({point: (self.ident, self.ident)})
         for i in range(level, -1, -1):
-            self._extend_level(i, mat)
-
-    def contains(self, mat) -> bool:
-        return self.sift(mat)[0] is None
+            self._grow(i, mat)
 
 
 def _random_stream(gens, n, p, seed, slots: int = 12, burn: int = 60):
@@ -484,19 +445,17 @@ def _random_stream(gens, n, p, seed, slots: int = 12, burn: int = 60):
 
 def _verify_chain(chain: _Chain) -> None:
     """Deterministic pass: every Schreier generator at every level must
-    sift to the identity through the deeper chain.  Failures are added as
-    strong generators and the pass restarts."""
+    sift through the deeper chain into the scalar kernel.  Failures are
+    added as strong generators and the pass restarts."""
     n, p = chain.n, chain.p
     i = len(chain.base) - 1
     while i >= 0:
         clean = True
         trans = chain.transversals[i]
         gens = chain.level_gens[i]
-        point, kind = chain.base[i]
         for pt, (t, _tinv) in list(trans.items()):
             for g in gens:
-                img = chain._apply_pt(g, pt, kind)
-                entry = trans.get(img)
+                entry = trans.get(chain._apply_pt(g, pt))
                 assert entry is not None, "transversal not closed under its own generators"
                 schreier = mat_mul_mod(entry[1], mat_mul_mod(g, t, n, p), n, p)
                 if schreier == chain.ident:
@@ -535,13 +494,8 @@ def _bsgs_chain(gen_mats, n: int, p: int, seed: int) -> _Chain:
 
 
 def _scalar_order_bsgs(chain: _Chain) -> int:
-    n, p = chain.n, chain.p
-    count = 0
-    for c in range(1, p):
-        mat = tuple(c if i % (n + 1) == 0 else 0 for i in range(n * n))
-        if chain.contains(mat):
-            count += 1
-    return count
+    """The order of the scalar subgroup: the chain's kernel, read off it."""
+    return chain.scalar_order
 
 
 def schreier_sims_order(
@@ -566,7 +520,7 @@ def schreier_sims_order(
     if order % scalar != 0:
         raise FaithfulnessSuspect("scalar subgroup order does not divide the group order")
     return GroupSummary(
-        order, scalar, order // scalar, None, tier="schreier-sims", primes=tuple(m.prime for m in maps)
+        order, scalar, order // scalar, tier="schreier-sims", primes=tuple(m.prime for m in maps)
     )
 
 
@@ -609,7 +563,7 @@ def derived_subgroup(group: GeneratedGroup, max_elements: int | None = None) -> 
     gen_invs = [g.inverse() for g in gens]
     while True:
         closures = [
-            _modp_closure([s.reduce(rmap) for s in seeds], n, rmap.prime, cap, False)[3]
+            _modp_closure([s.reduce(rmap) for s in seeds], n, rmap.prime, cap)[2]
             for rmap in maps
         ]
         if len(closures[0]) != len(closures[1]):

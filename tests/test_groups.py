@@ -17,6 +17,9 @@ from autbound.cyclo import Cyc, zeta
 from autbound.groups import (
     CapExceeded,
     GeneratedGroup,
+    _bsgs_chain,
+    _Chain,
+    _scalar_order_bsgs,
     NonFiniteOrderError,
     block_permutation_image,
     closure_order,
@@ -37,9 +40,8 @@ def test_trivial_group():
 
 def test_fermat_1_3_closure():
     rec = fermat_record(1, 3)
-    s = closure_order(rec.group, want_center=True)
+    s = closure_order(rec.group)
     assert s.triple() == (162, 3, 54)
-    assert s.center_order == 3
 
 
 def test_closure_exact_matches_modp():
@@ -47,10 +49,6 @@ def test_closure_exact_matches_modp():
         exact = closure_order(grp, strategy="exact")
         modp = closure_order(grp)
         assert exact.triple() == modp.triple()
-        assert exact.center_order is None and modp.center_order is None
-        exact = closure_order(grp, strategy="exact", want_center=True)
-        modp = closure_order(grp, want_center=True)
-        assert exact.center_order == modp.center_order == 2
         # injectivity of reduction on tier-1 groups: cardinalities agree
         assert len(exact_elements(grp)) == exact.order
 
@@ -103,24 +101,52 @@ def test_closure_bsgs_agree_small():
         (binary_icosahedral(), (120, 2, 60)),
         (icosahedral_rotation(), (60, 1, 60)),
         (get_example("ex-1-6-2").group, (1296, 6, 216)),
+        # edge cases of the projective chain: one dimension, so no base
+        # point and the whole group in the scalar kernel
+        (GeneratedGroup([CycloMatrix([[zeta(5)]])]), (5, 5, 1)),
+        # scalars only: the kernel grows to lcm of the generator orders
+        (GeneratedGroup([CycloMatrix.identity(3, 12) * zeta(12)]), (12, 12, 1)),
+        # fixes every [e_i]; only the candidate [e_0 + e_1] separates it
+        # from the scalars
+        (GeneratedGroup([diag_matrix([zeta(3), 1], 3)]), (3, 1, 3)),
+        (GeneratedGroup([CycloMatrix.identity(3)]), (1, 1, 1)),
     ]:
         assert closure_order(grp).triple() == expect
         assert schreier_sims_order(grp).triple() == expect
 
 
+def test_scalar_order_read_off_the_chain(monkeypatch):
+    grp = get_example("ex-1-4").group
+    maps = grp.reduction_maps(2, lower_bound=10**6)
+    n, p = grp.dimension, maps[0].prime
+    chain = _bsgs_chain(grp.reduced_generators(maps[0]), n, p, seed=2024)
+    calls = []
+    real_sift = _Chain.sift
+
+    def counting_sift(self, *args, **kwargs):
+        calls.append(args)
+        return real_sift(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Chain, "sift", counting_sift)
+    assert _scalar_order_bsgs(chain) == 4
+    assert calls == []
+    monkeypatch.undo()
+    s = schreier_sims_order(grp, maps=maps)
+    assert min(s.primes) > 10**6
+    assert s.triple() == (672, 4, 168)
+
+
 def test_center_equals_scalar_for_irreducible():
-    for grp in (binary_icosahedral(), get_example("ex-1-4").group):
+    for grp, expect in ((binary_icosahedral(), (120, 2, 60)), (get_example("ex-1-4").group, (672, 4, 168))):
         assert spans_matrix_algebra(grp.generators)
-        s = closure_order(grp, want_center=True)
-        assert s.center_order == s.scalar_order
+        assert closure_order(grp).triple() == expect
 
 
 def test_reducible_group_center_exceeds_scalars():
     g = GeneratedGroup([diag_matrix([zeta(3), 1], 3)])
     assert not spans_matrix_algebra(g.generators)
-    s = closure_order(g, want_center=True)
+    s = closure_order(g)
     assert s.triple() == (3, 1, 3)
-    assert s.center_order == 3  # abelian: everything is central, nothing scalar
 
 
 def test_derived_subgroup_examples():

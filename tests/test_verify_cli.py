@@ -42,12 +42,6 @@ def test_verify_tier3_degrades_explicitly():
     assert report.overall == "conditional-pass"
 
 
-def test_verify_all_with_empty_id_list():
-    from autbound.verify import verify_all
-
-    assert verify_all(ids=[]) == []
-
-
 def test_verify_all_extended_profile(monkeypatch):
     from autbound import verify
 

@@ -174,7 +174,7 @@ def derived_pair_closure(pairs: list[_Pair], cap: int = 200_000) -> list[_Pair]:
     inverses = [p.inverse() for p in pairs]
     while True:
         closures = [
-            _modp_closure([s.odd.reduce(rmap) for s in seeds], 4, rmap.prime, cap, False)[3]
+            _modp_closure([s.odd.reduce(rmap) for s in seeds], 4, rmap.prime, cap)[2]
             for rmap in maps
         ]
         if len(closures[0]) != len(closures[1]):
@@ -203,7 +203,7 @@ def shrink_generators(gens: list[_Pair], order: int, seed: int = 11) -> list[_Pa
     def closure_size(sub: list[_Pair]) -> int:
         red = [s.odd.reduce(rmap) for s in sub]
         try:
-            return _modp_closure(red, 4, rmap.prime, order + 8, False)[0]
+            return _modp_closure(red, 4, rmap.prime, order + 8)[0]
         except CapExceeded:
             return -1
 
@@ -272,7 +272,7 @@ def build_two_s6(out_dir: Path, sp4_pairs: list[_Pair]) -> None:
         try:
             # order and scalar count at both primes, stopping at the first miss
             found = all(
-                _modp_closure([a.odd.reduce(r), b.odd.reduce(r)], 4, r.prime, 1500, False)[:2]
+                _modp_closure([a.odd.reduce(r), b.odd.reduce(r)], 4, r.prime, 1500)[:2]
                 == (1440, 2)
                 for r in maps
             )
